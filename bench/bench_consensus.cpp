@@ -8,7 +8,7 @@
 #include <set>
 
 #include "adversary/partition.hpp"
-#include "mc/montecarlo.hpp"
+#include "mc/mc_plane.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -32,7 +32,9 @@ int main() {
       params.stabilization_round = 3;
       KSetRunConfig config;
       config.k = 1;
-      const McSummary s = run_random_psrcs_trials(0xE8, 60, params, config);
+      const RandomPsrcsScenario scenario(params);
+      McTilePlane plane(scenario);
+      const McSummary s = plane.run(0xE8, 60, config);
       table.add_row({cell(n), cell(core), cell(s.distinct_values.max(), 0),
                      cell(s.distinct_histogram.count(1)),
                      cell(s.last_decision_round.mean(), 1)});

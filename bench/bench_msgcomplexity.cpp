@@ -11,7 +11,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "mc/montecarlo.hpp"
+#include "mc/mc_plane.hpp"
 #include "skeleton/codec.hpp"
 #include "util/table.hpp"
 
@@ -41,7 +41,8 @@ int main() {
       config.k = 2;
       config.measure_bytes = true;
       const RandomPsrcsScenario scenario(params);
-      const McSummary s = run_scenario_trials(scenario, 0xE5, trials, config);
+      McTilePlane plane(scenario);
+      const McSummary s = plane.run(0xE5, trials, config);
       table.add_row({cell(n), cell(trials),
                      cell(s.max_message_bytes.max(), 0),
                      cell(s.total_messages.mean(), 0),

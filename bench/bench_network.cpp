@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "graph/scc.hpp"
-#include "mc/montecarlo.hpp"
+#include "mc/mc_plane.hpp"
 #include "net/tile.hpp"
 #include "predicates/psrcs.hpp"
 #include "util/bench_json.hpp"
@@ -199,9 +199,9 @@ int main() {
 
       int psrcs_holds = 0, over_k = 0, values_max = 0;
       Accumulator edges, roots, dec_round, sim_ms, late;
-      const McSummary summary = run_scenario_trials(
-          scenario, 0xE11, trials, run, /*threads=*/0,
-          [&](std::size_t, const ScenarioTrial& trial) {
+      McTilePlane plane(scenario);
+      const McSummary summary = plane.run(
+          0xE11, trials, run, [&](std::size_t, const ScenarioTrial& trial) {
             const KSetRunReport& r = trial.kset;
             if (!r.all_decided) return;
             if (check_psrcs_exact(r.final_skeleton, k).holds) ++psrcs_holds;

@@ -6,7 +6,7 @@
 // distribution against the analytic bound; "viol" must stay 0.
 #include <iostream>
 
-#include "mc/montecarlo.hpp"
+#include "mc/mc_plane.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -44,8 +44,9 @@ int main() {
       config.k = 2;
       config.guard = guard;
       config.max_rounds = 4 * row.n + 4 * row.st + 60;
-      const McSummary s =
-          run_random_psrcs_trials(0xE4, trials, params, config);
+      const RandomPsrcsScenario scenario(params);
+      McTilePlane plane(scenario);
+      const McSummary s = plane.run(0xE4, trials, config);
 
       const Round worst_bound =
           row.st + 2 * row.n - 1 +

@@ -24,7 +24,7 @@
 #include "graph/reach.hpp"
 #include "graph/scc.hpp"
 #include "kset/runner.hpp"
-#include "mc/montecarlo.hpp"
+#include "mc/mc_plane.hpp"
 #include "predicates/psrcs.hpp"
 #include "skeleton/intern.hpp"
 #include "skeleton/tracker.hpp"
@@ -276,8 +276,9 @@ int main() {
     params.noise_probability = 0.3;
     KSetRunConfig config;
     config.k = row.k;
-    const McSummary s =
-        run_random_psrcs_trials(0xE2, trials, params, config);
+    const RandomPsrcsScenario scenario(params);
+    McTilePlane plane(scenario);
+    const McSummary s = plane.run(0xE2, trials, config);
 
     const std::int64_t root_viol =
         s.root_histogram.max_value() > row.k ? 1 : 0;

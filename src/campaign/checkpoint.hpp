@@ -42,7 +42,7 @@ namespace sskel {
 
 /// One job's folded prefix: the partial summary over the first
 /// `trials_folded` trials. Only trial-derived fields round-trip;
-/// service-level fields (intern stats, memory marks, scheduler
+/// service-level fields (intern stats, memory marks, tile
 /// provenance) are runtime observations, re-exported by whichever
 /// plane finishes the job.
 struct JobCheckpoint {

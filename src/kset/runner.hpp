@@ -59,8 +59,8 @@ struct KSetRunConfig {
   /// shard of this domain, so identical structures — across processes
   /// within a round and across trials on the same worker — share one
   /// analytics computation. The domain must outlive the run.
-  /// run_scenario_trials supplies one automatically; direct run_kset
-  /// callers opt in explicitly.
+  /// McTilePlane supplies its persistent one automatically; direct
+  /// run_kset callers opt in explicitly.
   InternDomain* intern = nullptr;
 };
 

@@ -59,7 +59,7 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
   /// structure-cache buffers instead of reallocating them. n, id and
   /// guard are fixed; the intern table detaches (the next trial's
   /// table may belong to a different run — call set_intern_table
-  /// again). The cross-scheduler bit-equality tripwire
+  /// again). The scheduler-equivalence tripwire
   /// (tests/mc/mc_plane_test.cpp) pins reset == construct.
   void reset(Value proposal);
 

@@ -1,15 +1,34 @@
 #include "mc/mc_plane.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cstdlib>
+#include <limits>
 #include <thread>
 
-#include "mc/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/topology.hpp"
 
 namespace sskel {
 
 namespace {
+
+/// A positive SSKEL_THREADS value, or 0 when `value` is null, empty,
+/// zero, negative, or carries anything but trailing whitespace after
+/// the number.
+unsigned parse_thread_cap(const char* value) {
+  if (value == nullptr || *value == '\0') return 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || parsed <= 0) return 0;
+  for (const char* c = end; *c != '\0'; ++c) {
+    if (std::isspace(static_cast<unsigned char>(*c)) == 0) return 0;
+  }
+  return static_cast<unsigned>(std::min<unsigned long>(
+      static_cast<unsigned long>(parsed),
+      std::numeric_limits<unsigned>::max()));
+}
 
 TilePlaneOptions to_tile_options(const McPlaneOptions& options) {
   TilePlaneOptions tile_options;
@@ -22,9 +41,25 @@ TilePlaneOptions to_tile_options(const McPlaneOptions& options) {
 
 }  // namespace
 
+unsigned tiles_from_env_value(unsigned requested, const char* value,
+                              unsigned hardware) {
+  const unsigned cap = parse_thread_cap(value);
+  if (requested == 0) {
+    const unsigned hw = std::max(1u, hardware);
+    return cap == 0 ? hw : std::min(cap, hw);
+  }
+  return cap == 0 ? requested : std::min(cap, requested);
+}
+
+unsigned resolve_tile_count(unsigned requested) {
+  return tiles_from_env_value(requested, std::getenv("SSKEL_THREADS"),
+                              std::thread::hardware_concurrency());
+}
+
 McTilePlane::McTilePlane(const ScenarioFactory& scenario,
                          McPlaneOptions options)
     : scenario_(&scenario),
+      ring_depth_(std::max<std::size_t>(options.ring_depth, 1)),
       scratch_(resolve_tile_count(options.tiles)),
       // scratch_.size() rather than resolving again: SSKEL_THREADS is
       // re-read per resolve and must bind exactly once per plane.
@@ -140,7 +175,6 @@ void McTilePlane::export_service_fields(McSummary& summary) const {
   summary.live_proc_set_bytes = ProcSet::live_bytes();
   summary.arena_proc_set_bytes = ProcSet::arena_bytes();
   summary.arena_reuses = ProcSet::arena_reuses();
-  summary.scheduler = "tile-plane";
   summary.tiles = static_cast<std::int64_t>(plane_.tiles());
   summary.tile_placement = cpu_list_to_string(plane_.placement());
   summary.failed_pins = static_cast<std::int64_t>(plane_.failed_pins());
@@ -156,12 +190,14 @@ McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
   McSummary summary;
   summary.bytes_measured = config.measure_bytes;
 
-  // A batch is a stream whose window covers every trial: submission is
-  // then limited only by ring credit, and the fold happens on the
-  // dispatcher as completions arrive — in trial order, exactly like
-  // the batch-end fold this replaced.
-  stream_begin(config, std::max<std::size_t>(static_cast<std::size_t>(trials),
-                                             std::size_t{1}));
+  // A batch is a stream whose window holds one ring's worth of trials
+  // per tile: enough to keep every intake busy, and the result slots
+  // (whose reports stay alive until the next stream) no longer grow
+  // with the batch. The fold happens on the dispatcher as completions
+  // arrive, in trial order.
+  stream_begin(config, std::clamp<std::size_t>(
+                           static_cast<std::size_t>(trials), 1,
+                           std::size_t{plane_.tiles()} * ring_depth_));
   const StreamSink sink = [&](std::uint64_t t, const ScenarioTrial& trial,
                               std::int64_t /*elapsed_ns*/) {
     fold_scenario_trial(summary, trial, config);
@@ -179,20 +215,6 @@ McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
 
   export_service_fields(summary);
   return summary;
-}
-
-McSummary run_scenario_trials_on(McScheduler scheduler,
-                                 const ScenarioFactory& scenario,
-                                 std::uint64_t master_seed, int trials,
-                                 const KSetRunConfig& config,
-                                 const McPlaneOptions& options,
-                                 const TrialCallback& per_trial) {
-  if (scheduler == McScheduler::kPool) {
-    return run_scenario_trials(scenario, master_seed, trials, config,
-                               options.tiles, per_trial);
-  }
-  McTilePlane plane(scenario, options);
-  return plane.run(master_seed, trials, config, per_trial);
 }
 
 }  // namespace sskel

@@ -1,19 +1,14 @@
 // Monte-Carlo trial scheduling on the tile plane (DESIGN.md §13).
 //
-// run_scenario_trials (the "pool" scheduler) fans trials over the
-// fork-join WorkerPool: correct and bit-deterministic, but every call
-// pays batch-scoped fixed costs — a fresh InternDomain whose shards
-// re-analyze every structure the previous batch already knew, and a
-// fresh engine + n process constructions per trial. Campaign-scale
-// runs are many small batches, so those fixed costs dominate at small
-// n.
+// A Monte-Carlo batch is a seeded left fold: trial t runs with seed
+// mix_seed(master, t), and its result folds into McSummary in trial
+// order (fold_scenario_trial). McTilePlane is the one scheduler that
+// runs that fold, as a persistent *service* over the §12 tile/ring
+// transport:
 //
-// McTilePlane is the same trial loop rebuilt as a persistent
-// *service* over the PR 7 tile/ring transport:
-//
-//   * trial batches flow through the TilePlane's credit-gated
-//     submit/result FragRings as TileWork{trial, seed} and come back
-//     RingMux-merged, exactly like the multiplexed net runs;
+//   * trials flow through the TilePlane's credit-gated submit/result
+//     FragRings as TileWork{trial, seed} and come back RingMux-merged,
+//     exactly like the multiplexed net runs;
 //   * each tile owns persistent worker state — its InternDomain shard
 //     (tile threads live across batches, so InternDomain::local() is
 //     stable per tile), its ProcSet word arena, and a reusable
@@ -23,14 +18,13 @@
 //     topology when pinning is enabled (util/topology.hpp), and the
 //     effective placement + failed pin count surface in McSummary.
 //
-// Determinism: trial t always uses seed mix_seed(master, t), results
-// land in a trial-indexed buffer (the result ring carries completion
-// tokens, not payloads — the ring's release/acquire ordering makes
-// the buffer write visible to the dispatcher), and the fold is the
-// shared fold_scenario_trials — so McSummary's trial-derived fields
-// are bit-identical across tile counts and vs the pool scheduler.
-// The pool path stays selectable as the reference scheduler,
-// mirroring the NetPlane::kRing/kEventQueue pattern.
+// Determinism: results land in a trial-indexed slot window (the result
+// ring carries completion tokens, not payloads — the ring's
+// release/acquire ordering makes the slot write visible to the
+// dispatcher), and the dispatcher folds the contiguous completed
+// prefix in trial order. McSummary's trial-derived fields are
+// therefore bit-identical across tile counts and to a serial fold of
+// the same trials (tests/oracles/serial_trials.hpp).
 #pragma once
 
 #include <cstdint>
@@ -45,12 +39,23 @@
 
 namespace sskel {
 
-/// Which trial scheduler runs a Monte-Carlo batch (the NetPlane
-/// pattern: new fast path + selectable reference path).
-enum class McScheduler {
-  kPool,       // fork-join WorkerPool (reference)
-  kTilePlane,  // persistent tile-plane service
-};
+/// SSKEL_THREADS, the single concurrency knob, applied to a tile
+/// count. requested == 0 takes a positive SSKEL_THREADS clamped to
+/// the hardware concurrency, or the hardware concurrency itself when
+/// the variable is unset (either way at least 1, even when `hardware`
+/// reports 0). An explicit request is *capped* by a positive
+/// SSKEL_THREADS but NOT hardware-clamped — oversubscribed tile counts
+/// are a deliberate testing configuration (4 tiles on a 1-core host
+/// must stay 4 unless the env says less). Empty, zero, negative or
+/// unparsable values count as unset; trailing whitespace is allowed.
+/// Pure; exposed for unit tests.
+[[nodiscard]] unsigned tiles_from_env_value(unsigned requested,
+                                            const char* value,
+                                            unsigned hardware);
+
+/// tiles_from_env_value against the live SSKEL_THREADS (re-read per
+/// call) and the hardware concurrency.
+[[nodiscard]] unsigned resolve_tile_count(unsigned requested);
 
 struct McPlaneOptions {
   /// Worker tiles. 0 = resolve from SSKEL_THREADS / hardware
@@ -58,6 +63,7 @@ struct McPlaneOptions {
   /// (resolve_tile_count — the single concurrency knob).
   unsigned tiles = 0;
   /// Intake/result ring depth (tiny values exercise backpressure).
+  /// run() keeps at most tiles x ring_depth trials in flight.
   std::size_t ring_depth = 64;
   /// Watermark-publication cadence (TilePlaneOptions::lazy).
   std::int64_t lazy = 8;
@@ -85,24 +91,26 @@ class McTilePlane {
   McTilePlane& operator=(const McTilePlane&) = delete;
 
   /// Runs one batch: trial t gets seed mix_seed(master_seed, t);
-  /// aggregates fold in trial order. Bit-identical trial fields vs
-  /// run_scenario_trials with the same (scenario, seed, trials,
-  /// config). When config.intern is null the service's own persistent
-  /// domain is used (intern stats in the summary are then cumulative
-  /// across this plane's batches — service-level counters, like the
-  /// stall counters below).
+  /// aggregates fold in trial order, and `per_trial` fires on the
+  /// calling thread right after each trial folds. Trial fields are
+  /// bit-identical to a serial fold of the same (scenario, seed,
+  /// trials, config). When config.intern is null the service's own
+  /// persistent domain is used (intern stats in the summary are then
+  /// cumulative across this plane's batches — service-level counters,
+  /// like the stall counters below).
   [[nodiscard]] McSummary run(std::uint64_t master_seed, int trials,
                               const KSetRunConfig& config,
                               const TrialCallback& per_trial = {});
 
   // -------------------------------------------------------------------
   // Streaming feed (DESIGN.md §15). run() is itself built on this: a
-  // batch is just a stream whose window spans every trial. The campaign
-  // engine drives the stream directly so trials flow into the submit
-  // rings from a persistent cursor — the plane never tears down between
-  // batches, and the dispatcher folds the contiguous completed prefix
-  // in trial order, which is what makes checkpoint/resume bit-exact
-  // (the folded prefix *is* the state).
+  // batch is a stream whose window holds one ring's worth of trials
+  // per tile, so the result slots stay bounded however long the batch
+  // runs. The campaign engine drives the stream directly so trials
+  // flow into the submit rings from a persistent cursor — the plane
+  // never tears down between batches, and the dispatcher folds the
+  // contiguous completed prefix in trial order, which is what makes
+  // checkpoint/resume bit-exact (the folded prefix *is* the state).
   // -------------------------------------------------------------------
 
   /// Receives trial `index`'s result once every lower-indexed trial in
@@ -149,7 +157,7 @@ class McTilePlane {
   }
 
   /// Writes the service-level fields (intern stats, ProcSet memory
-  /// marks, scheduler provenance) into `summary` — the fields run()
+  /// marks, tile provenance) into `summary` — the fields run()
   /// sets after folding, exported so streaming callers can finish a
   /// summary the same way.
   void export_service_fields(McSummary& summary) const;
@@ -183,6 +191,9 @@ class McTilePlane {
   };
 
   const ScenarioFactory* scenario_;
+  /// McPlaneOptions::ring_depth; with the tile count it sizes run()'s
+  /// stream window.
+  std::size_t ring_depth_;
   /// Persistent cross-batch intern domain; tile threads are stable so
   /// each tile keeps one shard for the service's lifetime.
   InternDomain intern_;
@@ -205,14 +216,5 @@ class McTilePlane {
   bool streaming_ = false;
   TilePlane plane_;  // last: joins tiles before the rest dies
 };
-
-/// Scheduler-dispatching convenience: kPool calls run_scenario_trials
-/// (threads = options.tiles), kTilePlane builds a one-batch
-/// McTilePlane. Campaign code holds a McTilePlane directly to reuse
-/// it across batches.
-[[nodiscard]] McSummary run_scenario_trials_on(
-    McScheduler scheduler, const ScenarioFactory& scenario,
-    std::uint64_t master_seed, int trials, const KSetRunConfig& config,
-    const McPlaneOptions& options = {}, const TrialCallback& per_trial = {});
 
 }  // namespace sskel

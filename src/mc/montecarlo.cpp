@@ -1,8 +1,5 @@
 #include "mc/montecarlo.hpp"
 
-#include "mc/parallel_for.hpp"
-#include "util/rng.hpp"
-
 namespace sskel {
 
 void fold_scenario_trial(McSummary& summary, const ScenarioTrial& trial,
@@ -40,65 +37,6 @@ void fold_scenario_trial(McSummary& summary, const ScenarioTrial& trial,
     summary.wall_clock_ms.add(static_cast<double>(trial.wall_clock) / 1000.0);
     summary.credit_stalls += trial.credit_stalls;
   }
-}
-
-void fold_scenario_trials(McSummary& summary,
-                          const std::vector<ScenarioTrial>& results,
-                          const KSetRunConfig& config,
-                          const TrialCallback& per_trial) {
-  for (std::size_t t = 0; t < results.size(); ++t) {
-    fold_scenario_trial(summary, results[t], config);
-    if (per_trial) per_trial(t, results[t]);
-  }
-}
-
-McSummary run_scenario_trials(const ScenarioFactory& scenario,
-                              std::uint64_t master_seed, int trials,
-                              const KSetRunConfig& config, unsigned threads,
-                              const TrialCallback& per_trial) {
-  SSKEL_REQUIRE(trials >= 0);
-
-  // Intern by default: trials on one worker share a table shard, so
-  // the distinct structures of a whole seed sweep are analyzed once
-  // per worker instead of once per trial. A caller-supplied domain
-  // (config.intern) extends the sharing across several sweeps.
-  InternDomain trial_domain;
-  KSetRunConfig run_config = config;
-  if (run_config.intern == nullptr) run_config.intern = &trial_domain;
-
-  // High-water mark for this batch only (sets live before the batch
-  // still count toward the level the mark is measured from).
-  ProcSet::reset_peak_bytes();
-
-  const std::vector<ScenarioTrial> results = collect_parallel<ScenarioTrial>(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) {
-        return scenario.run_trial(mix_seed(master_seed, t), run_config);
-      },
-      threads);
-
-  McSummary summary;
-  summary.scenario = scenario.name();
-  summary.intern = run_config.intern->merged_stats();
-  summary.intern_shards =
-      static_cast<std::int64_t>(run_config.intern->shard_count());
-  summary.peak_proc_set_bytes = ProcSet::peak_bytes();
-  summary.live_proc_set_bytes = ProcSet::live_bytes();
-  summary.arena_proc_set_bytes = ProcSet::arena_bytes();
-  summary.arena_reuses = ProcSet::arena_reuses();
-  summary.bytes_measured = config.measure_bytes;
-  summary.scheduler = "pool";
-  summary.tiles = static_cast<std::int64_t>(resolve_thread_count(threads));
-  fold_scenario_trials(summary, results, config, per_trial);
-  return summary;
-}
-
-McSummary run_random_psrcs_trials(std::uint64_t master_seed, int trials,
-                                  const RandomPsrcsParams& params,
-                                  const KSetRunConfig& config,
-                                  unsigned threads) {
-  const RandomPsrcsScenario scenario(params);
-  return run_scenario_trials(scenario, master_seed, trials, config, threads);
 }
 
 }  // namespace sskel

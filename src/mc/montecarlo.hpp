@@ -3,16 +3,16 @@
 // The statistical experiments (E2, E4, E5, E7, E11, parts of E8) all
 // share one shape: sample many seeded adversaries from a scenario
 // factory, run Algorithm 1 on each, and aggregate
-// decision/skeleton/traffic metrics. This module is that loop,
-// parallelized over trials; results are folded in trial order, so
-// every aggregate is bit-identical for every thread count.
+// decision/skeleton/traffic metrics. This module is the aggregate and
+// its one-trial fold; McTilePlane (mc/mc_plane.hpp) runs the trials
+// and folds them in trial order, so every aggregate is bit-identical
+// for every tile count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 
-#include "adversary/random_psrcs.hpp"
 #include "kset/runner.hpp"
 #include "mc/scenario.hpp"
 #include "skeleton/intern.hpp"
@@ -57,10 +57,10 @@ struct McSummary {
   /// drivers ran the event-queue plane or rings never ran dry).
   std::int64_t credit_stalls = 0;
 
-  /// Structure-interning counters, merged over the per-worker shards
-  /// (DESIGN.md §10). run_scenario_trials interns by default — it
-  /// creates a trial-scoped InternDomain when the run config does not
-  /// supply one — so cross-trial structure sharing shows up here.
+  /// Structure-interning counters, merged over the per-tile shards
+  /// (DESIGN.md §10). McTilePlane interns by default — it supplies its
+  /// persistent InternDomain when the run config does not — so
+  /// cross-trial structure sharing shows up here.
   InternStats intern;
   std::int64_t intern_shards = 0;
 
@@ -77,61 +77,32 @@ struct McSummary {
   std::int64_t arena_proc_set_bytes = 0;
   std::int64_t arena_reuses = 0;
 
-  /// Scheduler provenance (DESIGN.md §13): which trial scheduler
-  /// produced this summary ("pool" or "tile-plane"), how many
-  /// workers/tiles it ran, the planned CPU per tile when pinning was
-  /// on ("" otherwise, util/topology.hpp rendering), and how many pins
-  /// the OS refused — so a throughput regression caused by denied
-  /// affinity is diagnosable from the artifact alone. Excluded from
-  /// the cross-scheduler bit-equality tripwire, like the intern/arena
-  /// fields above.
-  std::string scheduler = "pool";
+  /// Tile provenance (DESIGN.md §13): how many tiles ran the trials,
+  /// the planned CPU per tile when pinning was on ("" otherwise,
+  /// util/topology.hpp rendering), and how many pins the OS refused —
+  /// so a throughput regression caused by denied affinity is
+  /// diagnosable from the artifact alone. Excluded from the
+  /// bit-equality tripwires, like the intern/arena fields above.
   std::int64_t tiles = 0;
   std::string tile_placement;
   std::int64_t failed_pins = 0;
 };
 
-/// Optional per-trial hook, invoked in trial order after the parallel
-/// phase (so it is deterministic too). Receives the trial index and
-/// the full trial result; use it for per-trial tables the summary's
-/// accumulators don't capture.
+/// Optional per-trial hook, invoked on the dispatching thread in trial
+/// order right after the trial folds (so it is deterministic too).
+/// Receives the trial index and the full trial result; use it for
+/// per-trial tables the summary's accumulators don't capture.
 using TrialCallback = std::function<void(std::size_t, const ScenarioTrial&)>;
 
-/// Folds per-trial results into `summary` in trial order and fires
-/// `per_trial` for each. Shared verbatim by the pool scheduler
-/// (run_scenario_trials) and the tile-plane scheduler (McTilePlane),
-/// so the trial-derived aggregates are bit-identical across
-/// schedulers by construction. `config` supplies the guard for the
-/// Lemma-11 bound check and measure_bytes gating; summary.runs etc.
-/// accumulate on top of whatever is already in `summary`.
-void fold_scenario_trials(McSummary& summary,
-                          const std::vector<ScenarioTrial>& results,
-                          const KSetRunConfig& config,
-                          const TrialCallback& per_trial = {});
-
-/// Folds one trial. fold_scenario_trials is exactly this in a loop, so
-/// folding trials one at a time in trial order — the campaign engine's
-/// streaming discipline — produces a summary bit-identical to a single
-/// batch fold of the same trials: the resume proof (DESIGN.md §15)
-/// rests on this left-fold identity. summary.bytes_measured must be
-/// set before the first fold (it gates the byte accumulators).
+/// Folds one trial into `summary`. A batch's summary is defined as
+/// this left fold over its trials in trial order: McTilePlane folds
+/// completed trials that way as they arrive, and campaign resume
+/// rests on it — continuing the fold from a checkpointed prefix
+/// summary is bit-identical to one uninterrupted fold (DESIGN.md
+/// §15). `config` supplies the guard for the Lemma-11 bound check;
+/// summary.bytes_measured must be set before the first fold (it gates
+/// the byte accumulators).
 void fold_scenario_trial(McSummary& summary, const ScenarioTrial& trial,
                          const KSetRunConfig& config);
-
-/// Runs `trials` independent trials of `scenario`. Trial t uses the
-/// seed mix_seed(master_seed, t). Thread count 0 = hardware
-/// concurrency.
-[[nodiscard]] McSummary run_scenario_trials(
-    const ScenarioFactory& scenario, std::uint64_t master_seed, int trials,
-    const KSetRunConfig& config, unsigned threads = 0,
-    const TrialCallback& per_trial = {});
-
-/// The original random-Psrcs entry point, now a RandomPsrcsScenario
-/// instantiation of run_scenario_trials (same seeds, same results).
-[[nodiscard]] McSummary run_random_psrcs_trials(std::uint64_t master_seed,
-                                                int trials,
-                                                const RandomPsrcsParams& params,
-                                                const KSetRunConfig& config,
-                                                unsigned threads = 0);
 
 }  // namespace sskel

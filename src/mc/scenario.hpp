@@ -3,10 +3,10 @@
 // A scenario is "one way to produce an adversary": random Psrcs(k)
 // graphs, crash failures, partitions, rotating stars, or a full
 // partially synchronous network. The Monte-Carlo engine
-// (run_scenario_trials) only sees the factory interface, so every
-// experiment — abstract-model and network-backed alike — aggregates
-// through one code path. A trial is a pure function of its seed, so
-// results are reproducible and thread-count independent.
+// (McTilePlane, mc/mc_plane.hpp) only sees the factory interface, so
+// every experiment — abstract-model and network-backed alike —
+// aggregates through one code path. A trial is a pure function of its
+// seed, so results are reproducible and tile-count independent.
 #pragma once
 
 #include <cstdint>

@@ -284,8 +284,8 @@ class StructureInternTable {
 };
 
 /// A run-scoped family of intern tables, one shard per worker thread,
-/// so the WorkerPool Monte-Carlo path shares structures *within* a
-/// worker without any lock on the lookup path. local() hands the
+/// so McTilePlane's tiles each share structures across the trials
+/// they run without any lock on the lookup path. local() hands the
 /// calling thread its shard (created on first use behind a mutex,
 /// then served from a thread-local cache keyed by a globally unique
 /// domain id — never a dangling pointer, even across domain
@@ -298,8 +298,8 @@ class InternDomain {
   InternDomain& operator=(const InternDomain&) = delete;
 
   /// This thread's shard. The reference stays valid for the domain's
-  /// lifetime; the domain must outlive all users (run_scenario_trials
-  /// keeps it alive across the parallel region).
+  /// lifetime; the domain must outlive all users (McTilePlane owns its
+  /// domain for as long as its tiles run).
   [[nodiscard]] StructureInternTable& local();
 
   [[nodiscard]] std::size_t shard_count() const;

@@ -4,6 +4,7 @@
 // the paper's motivating partitioned-consensus scenario.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -32,15 +33,21 @@ TEST(ConsensusTest, SingleRootComponentImpliesConsensus) {
   }
 }
 
+// gtest names each case after the raw bytes of a parameter that has no
+// printer. With `int m` the struct had four padding bytes after m,
+// uninitialised and different in every process, so the case names
+// changed from run to run. A 64-bit m leaves no padding and prints the
+// same bytes as a zero-padded int.
 struct PartitionCase {
-  int m;
+  std::int64_t m;
   double noise;
 };
 
 class PartitionSweep : public ::testing::TestWithParam<PartitionCase> {};
 
 TEST_P(PartitionSweep, ConsensusPerPartition) {
-  const auto [m, noise] = GetParam();
+  const int m = static_cast<int>(GetParam().m);
+  const double noise = GetParam().noise;
   const ProcId n = 12;
   PartitionParams params;
   params.blocks = even_blocks(n, m);

@@ -1,23 +1,24 @@
 // The scheduler-equivalence tripwire for Monte-Carlo on the tile
-// plane (DESIGN.md §13), extending the PR 7 plane-equivalence
-// pattern: the same (scenario, master seed, trials, config) must
-// produce bit-identical trial-derived McSummary fields on the
-// fork-join pool scheduler and on the tile-plane scheduler, across
-// tile counts {1, 2, 4}, and under a tiny-ring backpressure
-// configuration. Only service-level fields — intern/arena/peak
-// counters and scheduler provenance — may differ. Also covers the
-// engine-scratch reuse contract (run_trial with scratch == without)
-// and the SSKEL_THREADS tile-count cap.
+// plane (DESIGN.md §13), extending the §12 plane-equivalence pattern:
+// the same (scenario, master seed, trials, config) must produce
+// trial-derived McSummary fields bit-identical to the serial fold
+// (tests/oracles/serial_trials.hpp) at tile counts {1, 2, 4}, under a
+// tiny-ring backpressure configuration, and on a net-backed scenario.
+// Only service-level fields — intern/arena/peak counters and tile
+// provenance — may differ. Also covers the engine-scratch reuse
+// contract (run_trial with scratch == without), run()'s bounded result
+// window, and the SSKEL_THREADS tile-count cap.
 #include "mc/mc_plane.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "mc/montecarlo.hpp"
-#include "mc/parallel_for.hpp"
+#include "oracles/serial_trials.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -34,8 +35,8 @@ void expect_accumulators_equal(const Accumulator& a, const Accumulator& b,
 
 /// Bit-equality over every trial-derived field. Service-level fields
 /// (intern stats, shard counts, ProcSet peak/live/arena accounting,
-/// scheduler/tiles/placement/failed_pins) are deliberately excluded:
-/// they describe the machinery, not the trials.
+/// tiles/placement/failed_pins) are deliberately excluded: they
+/// describe the machinery, not the trials.
 void expect_summaries_equal(const McSummary& a, const McSummary& b) {
   EXPECT_EQ(a.scenario, b.scenario);
   EXPECT_EQ(a.runs, b.runs);
@@ -85,23 +86,45 @@ KSetRunConfig base_config() {
   return config;
 }
 
+NetScenario flaky_hub_scenario(ProcId n) {
+  // A timely hub over a flaky remainder: trials see real lates and
+  // losses, so the network accumulators carry signal worth pinning.
+  Digraph stable(n);
+  stable.add_self_loops();
+  for (ProcId p = 0; p < n; ++p) stable.add_edge(0, p);
+  LinkMatrix links = LinkMatrix::all_flaky(n, 0.6);
+  links.upgrade_to_timely(stable, 100, 700);
+  NetConfig net;
+  net.round_duration = 1000;
+  for (ProcId p = 0; p < n; ++p) {
+    net.skews.push_back((static_cast<SimTime>(p) * 113) % 800);
+  }
+  return NetScenario(std::move(links), net);
+}
+
+KSetRunConfig net_config() {
+  KSetRunConfig config;
+  config.k = 2;
+  config.max_rounds = 40;
+  return config;
+}
+
 constexpr std::uint64_t kSeed = 0xC0FFEE5EED;
 
+// Named for the fork-join pool it once compared against; the reference
+// is now the serial fold.
 TEST(McTilePlane, PoolVsTilePlaneBitIdentical) {
   const PartitionScenario scenario = make_partition_scenario(10);
   const KSetRunConfig config = base_config();
   const int trials = 24;
 
-  const McSummary pool =
-      run_scenario_trials(scenario, kSeed, trials, config, /*threads=*/2);
   McPlaneOptions options;
   options.tiles = 2;
   McTilePlane plane(scenario, options);
   const McSummary tiled = plane.run(kSeed, trials, config);
 
-  expect_summaries_equal(pool, tiled);
-  EXPECT_EQ(pool.scheduler, "pool");
-  EXPECT_EQ(tiled.scheduler, "tile-plane");
+  expect_summaries_equal(
+      oracles::serial_trials(scenario, kSeed, trials, config), tiled);
   EXPECT_EQ(tiled.tiles, 2);
   EXPECT_EQ(plane.trials_executed(), trials);
 }
@@ -111,35 +134,117 @@ TEST(McTilePlane, BitIdenticalAcrossTileCounts) {
   const KSetRunConfig config = base_config();
   const int trials = 20;
 
-  std::vector<McSummary> runs;
+  const McSummary serial =
+      oracles::serial_trials(scenario, kSeed, trials, config);
   for (unsigned tiles : {1u, 2u, 4u}) {
     McPlaneOptions options;
     options.tiles = tiles;
     McTilePlane plane(scenario, options);
-    runs.push_back(plane.run(kSeed, trials, config));
-    EXPECT_EQ(runs.back().tiles, static_cast<std::int64_t>(tiles));
+    const McSummary tiled = plane.run(kSeed, trials, config);
+    EXPECT_EQ(tiled.tiles, static_cast<std::int64_t>(tiles));
+    expect_summaries_equal(serial, tiled);
   }
-  expect_summaries_equal(runs[0], runs[1]);
-  expect_summaries_equal(runs[0], runs[2]);
 }
 
 TEST(McTilePlane, TinyRingBackpressureBitIdentical) {
   // Depth-2 rings against 48 trials on 3 tiles: the dispatcher and
   // tiles must ride the credit gates without reordering or dropping a
-  // trial. Results stay equal to the reference scheduler.
+  // trial. Results stay equal to the serial fold.
   const PartitionScenario scenario = make_partition_scenario(8);
   const KSetRunConfig config = base_config();
   const int trials = 48;
 
-  const McSummary pool =
-      run_scenario_trials(scenario, kSeed, trials, config, /*threads=*/1);
   McPlaneOptions options;
   options.tiles = 3;
   options.ring_depth = 2;
   options.lazy = 1;
   McTilePlane plane(scenario, options);
   const McSummary tiled = plane.run(kSeed, trials, config);
-  expect_summaries_equal(pool, tiled);
+  expect_summaries_equal(
+      oracles::serial_trials(scenario, kSeed, trials, config), tiled);
+}
+
+TEST(McTilePlane, NetTrialsBitIdenticalAcrossTileCounts) {
+  // The net-backed scenario: each trial runs the ring message plane
+  // inside a tile, and several tiles run such trials side by side.
+  // Which tile runs which trial varies from run to run; the summary
+  // must not.
+  const NetScenario scenario = flaky_hub_scenario(6);
+  const KSetRunConfig config = net_config();
+  const int trials = 16;
+
+  const McSummary serial =
+      oracles::serial_trials(scenario, 0x57EA1, trials, config);
+  ASSERT_TRUE(serial.net_backed);
+  for (unsigned tiles : {1u, 4u}) {
+    McPlaneOptions options;
+    options.tiles = tiles;
+    McTilePlane plane(scenario, options);
+    expect_summaries_equal(serial, plane.run(0x57EA1, trials, config));
+  }
+}
+
+TEST(McTilePlane, PerTrialCallbackRunsInTrialOrder) {
+  // run()'s per-trial hook fires in trial order, and the per-trial
+  // stream it sees is the serial fold's at every tile count.
+  const NetScenario scenario = flaky_hub_scenario(5);
+  const KSetRunConfig config = net_config();
+  const int trials = 10;
+
+  std::vector<std::int64_t> serial_messages;
+  (void)oracles::serial_trials(
+      scenario, 0x57EA2, trials, config,
+      [&](std::size_t, const ScenarioTrial& t) {
+        serial_messages.push_back(t.kset.total_messages);
+      });
+  for (unsigned tiles : {1u, 4u}) {
+    McPlaneOptions options;
+    options.tiles = tiles;
+    McTilePlane plane(scenario, options);
+    std::vector<std::size_t> order;
+    std::vector<std::int64_t> messages;
+    const McSummary s =
+        plane.run(0x57EA2, trials, config,
+                  [&](std::size_t trial, const ScenarioTrial& t) {
+                    order.push_back(trial);
+                    messages.push_back(t.kset.total_messages);
+                  });
+    EXPECT_EQ(s.runs, trials);
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(trials));
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i], i) << "tiles=" << tiles;
+    }
+    EXPECT_EQ(messages, serial_messages) << "tiles=" << tiles;
+  }
+}
+
+TEST(McTilePlane, RunWindowKeepsLiveReportsBounded) {
+  // run() streams through tiles x ring_depth result slots, and a slot's
+  // report stays alive until the next batch starts. So the ProcSet
+  // payload a batch leaves behind must not grow with the batch. The
+  // scenario is a noise-free partition stable from round 1: every
+  // trial has the same structures and the same report shape, and the
+  // warm-up batch settles the intern domain, so any growth between the
+  // two measured batches is retained reports.
+  PartitionParams params;
+  params.blocks = even_blocks(4, 2);
+  params.cross_noise_probability = 0.0;
+  params.stabilization_round = 1;
+  const PartitionScenario scenario(params);
+  const KSetRunConfig config = base_config();
+  McPlaneOptions options;
+  options.tiles = 2;
+  options.ring_depth = 4;
+  const int window = 8;  // tiles x ring_depth
+  McTilePlane plane(scenario, options);
+
+  (void)plane.run(kSeed, 20 * window, config);  // warm-up
+  (void)plane.run(kSeed, window, config);
+  const std::int64_t live_after_one_window = ProcSet::live_bytes();
+  const McSummary twenty = plane.run(kSeed, 20 * window, config);
+  EXPECT_LE(ProcSet::live_bytes(), live_after_one_window);
+  expect_summaries_equal(
+      oracles::serial_trials(scenario, kSeed, 20 * window, config), twenty);
 }
 
 TEST(McTilePlane, PersistentServiceReusesInternAcrossBatches) {
@@ -207,20 +312,6 @@ TEST(McTilePlane, ScratchReuseMatchesScratchFreeTrials) {
       EXPECT_EQ(a.total_messages, b.total_messages) << scenario->name();
     }
   }
-}
-
-TEST(McTilePlane, RunScenarioTrialsOnDispatchesBothSchedulers) {
-  const PartitionScenario scenario = make_partition_scenario(8);
-  const KSetRunConfig config = base_config();
-  McPlaneOptions options;
-  options.tiles = 2;
-  const McSummary pool = run_scenario_trials_on(
-      McScheduler::kPool, scenario, kSeed, 12, config, options);
-  const McSummary tiled = run_scenario_trials_on(
-      McScheduler::kTilePlane, scenario, kSeed, 12, config, options);
-  EXPECT_EQ(pool.scheduler, "pool");
-  EXPECT_EQ(tiled.scheduler, "tile-plane");
-  expect_summaries_equal(pool, tiled);
 }
 
 TEST(McTilePlaneStream, ManualStreamFoldMatchesBatchRun) {
@@ -324,9 +415,33 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
   expect_summaries_equal(expected, tail);
 }
 
+// The SSKEL_THREADS parse/clamp: the requested == 0 path of
+// tiles_from_env_value. The suite name dates from when this clamp sized
+// the fork-join worker pool.
+TEST(ParallelForTest, ThreadsFromEnvValueParsesAndClamps) {
+  // In range: taken as-is.
+  EXPECT_EQ(tiles_from_env_value(0, "4", 16), 4u);
+  EXPECT_EQ(tiles_from_env_value(0, "1", 16), 1u);
+  EXPECT_EQ(tiles_from_env_value(0, "16", 16), 16u);
+  // Above hardware: clamped down.
+  EXPECT_EQ(tiles_from_env_value(0, "64", 8), 8u);
+  // Trailing whitespace is fine; trailing garbage is not.
+  EXPECT_EQ(tiles_from_env_value(0, "4 ", 16), 4u);
+  EXPECT_EQ(tiles_from_env_value(0, "4x", 16), 16u);
+  // Unset, empty, zero, negative, junk: fall back to hardware.
+  EXPECT_EQ(tiles_from_env_value(0, nullptr, 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "0", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "-3", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "lots", 12), 12u);
+  // A zero hardware report (the standard allows it) still yields >= 1.
+  EXPECT_EQ(tiles_from_env_value(0, "4", 0), 1u);
+  EXPECT_EQ(tiles_from_env_value(0, nullptr, 0), 1u);
+}
+
 TEST(McTilePlaneEnv, TilesFromEnvValuePureCases) {
-  // requested == 0: behaves exactly like the worker-pool resolution
-  // (hardware-clamped default).
+  // requested == 0: the env value clamped to hardware, else hardware
+  // (the full parse/clamp table is ThreadsFromEnvValueParsesAndClamps).
   EXPECT_EQ(tiles_from_env_value(0, nullptr, 8), 8u);
   EXPECT_EQ(tiles_from_env_value(0, "3", 8), 3u);
   EXPECT_EQ(tiles_from_env_value(0, "12", 8), 8u);  // clamped to hw

@@ -1,10 +1,22 @@
-// Tests for the Monte-Carlo aggregation driver.
+// Tests for the Monte-Carlo aggregation over random-Psrcs trials.
 #include "mc/montecarlo.hpp"
 
 #include <gtest/gtest.h>
 
+#include "mc/mc_plane.hpp"
+
 namespace sskel {
 namespace {
+
+McSummary run_random_psrcs(std::uint64_t seed, int trials,
+                           const RandomPsrcsParams& params,
+                           const KSetRunConfig& config, unsigned tiles) {
+  const RandomPsrcsScenario scenario(params);
+  McPlaneOptions options;
+  options.tiles = tiles;
+  McTilePlane plane(scenario, options);
+  return plane.run(seed, trials, config);
+}
 
 TEST(MonteCarloTest, AggregatesCleanTrials) {
   RandomPsrcsParams params;
@@ -13,7 +25,7 @@ TEST(MonteCarloTest, AggregatesCleanTrials) {
   params.root_components = 2;
   KSetRunConfig config;
   config.k = 2;
-  const McSummary s = run_random_psrcs_trials(123, 20, params, config, 2);
+  const McSummary s = run_random_psrcs(123, 20, params, config, 2);
   EXPECT_EQ(s.runs, 20);
   EXPECT_EQ(s.undecided_runs, 0);
   EXPECT_EQ(s.agreement_violations, 0);
@@ -33,8 +45,8 @@ TEST(MonteCarloTest, DeterministicAcrossThreadCounts) {
   params.root_components = 2;
   KSetRunConfig config;
   config.k = 2;
-  const McSummary a = run_random_psrcs_trials(77, 12, params, config, 1);
-  const McSummary b = run_random_psrcs_trials(77, 12, params, config, 4);
+  const McSummary a = run_random_psrcs(77, 12, params, config, 1);
+  const McSummary b = run_random_psrcs(77, 12, params, config, 4);
   EXPECT_DOUBLE_EQ(a.distinct_values.mean(), b.distinct_values.mean());
   EXPECT_DOUBLE_EQ(a.last_decision_round.mean(), b.last_decision_round.mean());
   EXPECT_DOUBLE_EQ(a.total_messages.sum(), b.total_messages.sum());
@@ -44,7 +56,7 @@ TEST(MonteCarloTest, DeterministicAcrossThreadCounts) {
 TEST(MonteCarloTest, ZeroTrials) {
   RandomPsrcsParams params;
   KSetRunConfig config;
-  const McSummary s = run_random_psrcs_trials(1, 0, params, config);
+  const McSummary s = run_random_psrcs(1, 0, params, config, 1);
   EXPECT_EQ(s.runs, 0);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the scenario-driven Monte-Carlo engine: heterogeneous
 // factories (crash, partition, rotating, network-backed) all aggregate
-// through the one run_scenario_trials code path, byte accumulators are
+// through the one McTilePlane::run code path, byte accumulators are
 // gated on measure_bytes, and the trial hot loop constructs no
 // per-round graphs.
 #include "mc/scenario.hpp"
@@ -8,10 +8,21 @@
 #include <gtest/gtest.h>
 
 #include "adversary/random_psrcs.hpp"
+#include "mc/mc_plane.hpp"
 #include "mc/montecarlo.hpp"
+#include "util/rng.hpp"
 
 namespace sskel {
 namespace {
+
+McSummary run_trials(const ScenarioFactory& scenario, std::uint64_t seed,
+                     int trials, const KSetRunConfig& config, unsigned tiles,
+                     const TrialCallback& per_trial = {}) {
+  McPlaneOptions options;
+  options.tiles = tiles;
+  McTilePlane plane(scenario, options);
+  return plane.run(seed, trials, config, per_trial);
+}
 
 TEST(ScenarioTest, CrashScenarioReachesConsensus) {
   // One root component (the never-crashed set) -> consensus, k = 1.
@@ -20,7 +31,7 @@ TEST(ScenarioTest, CrashScenarioReachesConsensus) {
   EXPECT_EQ(scenario.n(), 6);
   KSetRunConfig config;
   config.k = 1;
-  const McSummary s = run_scenario_trials(scenario, 42, 8, config, 2);
+  const McSummary s = run_trials(scenario, 42, 8, config, 2);
   EXPECT_EQ(s.scenario, "crash");
   EXPECT_EQ(s.runs, 8);
   EXPECT_EQ(s.undecided_runs, 0);
@@ -39,7 +50,7 @@ TEST(ScenarioTest, PartitionScenarioHonorsBlockCount) {
   EXPECT_EQ(scenario.n(), 8);
   KSetRunConfig config;
   config.k = 2;
-  const McSummary s = run_scenario_trials(scenario, 7, 6, config, 2);
+  const McSummary s = run_trials(scenario, 7, 6, config, 2);
   EXPECT_EQ(s.runs, 6);
   EXPECT_EQ(s.undecided_runs, 0);
   EXPECT_EQ(s.agreement_violations, 0);
@@ -55,7 +66,7 @@ TEST(ScenarioTest, NetScenarioIsNetBacked) {
   EXPECT_EQ(scenario.name(), "net");
   KSetRunConfig config;
   config.k = 1;
-  const McSummary s = run_scenario_trials(scenario, 11, 4, config, 2);
+  const McSummary s = run_trials(scenario, 11, 4, config, 2);
   EXPECT_EQ(s.runs, 4);
   EXPECT_TRUE(s.net_backed);
   EXPECT_EQ(s.undecided_runs, 0);
@@ -72,7 +83,7 @@ TEST(ScenarioTest, RotatingScenarioStaysValid) {
   EXPECT_EQ(scenario.name(), "rotating-star");
   KSetRunConfig config;
   config.k = 1;
-  const McSummary s = run_scenario_trials(scenario, 3, 6, config, 2);
+  const McSummary s = run_trials(scenario, 3, 6, config, 2);
   EXPECT_EQ(s.runs, 6);
   EXPECT_EQ(s.validity_violations, 0);
   EXPECT_EQ(s.undecided_runs, 0);
@@ -83,7 +94,7 @@ TEST(ScenarioTest, PerTrialCallbackRunsInTrialOrder) {
   KSetRunConfig config;
   config.k = 1;
   std::vector<std::size_t> indices;
-  const McSummary s = run_scenario_trials(
+  const McSummary s = run_trials(
       scenario, 9, 5, config, 2,
       [&](std::size_t t, const ScenarioTrial& trial) {
         indices.push_back(t);
@@ -103,14 +114,14 @@ TEST(ScenarioTest, ByteAccumulatorsGatedOnMeasureBytes) {
 
   KSetRunConfig off;
   off.k = 2;
-  const McSummary without = run_scenario_trials(scenario, 5, 4, off, 1);
+  const McSummary without = run_trials(scenario, 5, 4, off, 1);
   EXPECT_FALSE(without.bytes_measured);
   EXPECT_EQ(without.total_bytes.count(), 0);
   EXPECT_EQ(without.max_message_bytes.count(), 0);
 
   KSetRunConfig on = off;
   on.measure_bytes = true;
-  const McSummary with = run_scenario_trials(scenario, 5, 4, on, 1);
+  const McSummary with = run_trials(scenario, 5, 4, on, 1);
   EXPECT_TRUE(with.bytes_measured);
   EXPECT_EQ(with.total_bytes.count(), 4);
   EXPECT_GT(with.total_bytes.min(), 0.0);
@@ -125,8 +136,8 @@ TEST(ScenarioTest, DeterministicAcrossThreadCounts) {
   const PartitionScenario scenario(params);
   KSetRunConfig config;
   config.k = 2;
-  const McSummary a = run_scenario_trials(scenario, 21, 10, config, 1);
-  const McSummary b = run_scenario_trials(scenario, 21, 10, config, 4);
+  const McSummary a = run_trials(scenario, 21, 10, config, 1);
+  const McSummary b = run_trials(scenario, 21, 10, config, 4);
   EXPECT_DOUBLE_EQ(a.distinct_values.mean(), b.distinct_values.mean());
   EXPECT_DOUBLE_EQ(a.last_decision_round.mean(), b.last_decision_round.mean());
   EXPECT_DOUBLE_EQ(a.total_messages.sum(), b.total_messages.sum());
@@ -134,15 +145,25 @@ TEST(ScenarioTest, DeterministicAcrossThreadCounts) {
 }
 
 TEST(ScenarioTest, LegacyEntryPointMatchesScenarioEngine) {
+  // The original random-Psrcs entry point was a loop of run_kset over
+  // RandomPsrcsSource(mix_seed(seed, t)); the scenario engine must
+  // reproduce it trial for trial.
   RandomPsrcsParams params;
   params.n = 6;
   params.k = 2;
   params.root_components = 2;
   KSetRunConfig config;
   config.k = 2;
-  const McSummary legacy = run_random_psrcs_trials(123, 8, params, config, 2);
+  McSummary legacy;
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    RandomPsrcsSource source(mix_seed(123, t), params);
+    ScenarioTrial trial;
+    trial.kset = run_kset(source, config);
+    fold_scenario_trial(legacy, trial, config);
+  }
   const RandomPsrcsScenario scenario(params);
-  const McSummary direct = run_scenario_trials(scenario, 123, 8, config, 2);
+  const McSummary direct = run_trials(scenario, 123, 8, config, 2);
+  EXPECT_EQ(legacy.runs, direct.runs);
   EXPECT_DOUBLE_EQ(legacy.distinct_values.mean(),
                    direct.distinct_values.mean());
   EXPECT_DOUBLE_EQ(legacy.total_messages.sum(), direct.total_messages.sum());
