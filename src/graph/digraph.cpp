@@ -1,15 +1,10 @@
 #include "graph/digraph.hpp"
 
-#include <atomic>
 #include <sstream>
 
-namespace sskel {
+#include "util/metrics.hpp"
 
-namespace {
-/// Allocation-regression counter; relaxed ordering is enough for the
-/// "did this loop construct graphs?" delta checks tests perform.
-std::atomic<std::int64_t> g_graphs_constructed{0};
-}  // namespace
+namespace sskel {
 
 Digraph::Digraph(ProcId n)
     : n_(n),
@@ -17,7 +12,7 @@ Digraph::Digraph(ProcId n)
       out_(static_cast<std::size_t>(n), ProcSet(n)),
       in_(static_cast<std::size_t>(n), ProcSet(n)) {
   SSKEL_REQUIRE(n >= 0);
-  g_graphs_constructed.fetch_add(1, std::memory_order_relaxed);
+  metrics::add(metrics::Counter::kGraphsConstructed, 1);
 }
 
 Digraph::Digraph(const Digraph& other)
@@ -25,11 +20,11 @@ Digraph::Digraph(const Digraph& other)
       nodes_(other.nodes_),
       out_(other.out_),
       in_(other.in_) {
-  g_graphs_constructed.fetch_add(1, std::memory_order_relaxed);
+  metrics::add(metrics::Counter::kGraphsConstructed, 1);
 }
 
 std::int64_t Digraph::graphs_constructed() {
-  return g_graphs_constructed.load(std::memory_order_relaxed);
+  return metrics::total(metrics::Counter::kGraphsConstructed);
 }
 
 Digraph Digraph::complete(ProcId n) {

@@ -58,10 +58,12 @@ class Digraph {
   Digraph& operator=(Digraph&& other) noexcept = default;
   ~Digraph() = default;
 
-  /// Process-wide count of Digraph constructions that allocated fresh
-  /// adjacency storage (the n-node constructor and copy construction;
-  /// assignment into an existing graph reuses storage and is not
-  /// counted). Hot-loop tests assert this stays flat per round.
+  /// Count of Digraph constructions that allocated fresh adjacency
+  /// storage (the n-node constructor and copy construction; assignment
+  /// into an existing graph reuses storage and is not counted), summed
+  /// over every thread's counter block (util/metrics.hpp): exact once
+  /// the constructing threads are quiescent. Hot-loop tests assert
+  /// this stays flat per round.
   [[nodiscard]] static std::int64_t graphs_constructed();
 
   /// All n nodes, every edge including self-loops (the complete graph;

@@ -1,14 +1,11 @@
 #include "graph/labeled_digraph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
-namespace sskel {
+#include "util/metrics.hpp"
 
-namespace {
-std::atomic<std::int64_t> g_reachability_computations{0};
-}  // namespace
+namespace sskel {
 
 void GraphStructure::capture(const LabeledDigraph& g) {
   const std::size_t n = static_cast<std::size_t>(g.n());
@@ -114,7 +111,7 @@ void LabeledDigraph::purge_labels_up_to(Round cutoff) {
 }
 
 ProcSet LabeledDigraph::reachable_from(ProcId start) const {
-  g_reachability_computations.fetch_add(1, std::memory_order_relaxed);
+  metrics::add(metrics::Counter::kReachabilityComputations, 1);
   ProcSet visited(n_);
   if (!nodes_.contains(start)) return visited;
   visited.insert(start);
@@ -131,7 +128,7 @@ ProcSet LabeledDigraph::reachable_from(ProcId start) const {
 }
 
 ProcSet LabeledDigraph::reaching_set(ProcId target) const {
-  g_reachability_computations.fetch_add(1, std::memory_order_relaxed);
+  metrics::add(metrics::Counter::kReachabilityComputations, 1);
   ProcSet visited(n_);
   if (!nodes_.contains(target)) return visited;
   visited.insert(target);
@@ -217,7 +214,7 @@ Digraph LabeledDigraph::unlabeled() const {
 }
 
 std::int64_t LabeledDigraph::reachability_computations() {
-  return g_reachability_computations.load(std::memory_order_relaxed);
+  return metrics::total(metrics::Counter::kReachabilityComputations);
 }
 
 bool LabeledDigraph::strongly_connected() const {

@@ -121,10 +121,11 @@ class LabeledDigraph {
   /// Strong connectivity of the present node set (Line 28's test).
   [[nodiscard]] bool strongly_connected() const;
 
-  /// Process-wide count of reachability fixpoints run (reachable_from
-  /// + reaching_set calls). Tests assert the post-stabilization tail
-  /// of Algorithm 1 stops paying for them once the structure cache
-  /// kicks in.
+  /// Count of reachability fixpoints run (reachable_from +
+  /// reaching_set calls), summed over every thread's counter block
+  /// (util/metrics.hpp): exact once the calling threads are quiescent.
+  /// Tests assert the post-stabilization tail of Algorithm 1 stops
+  /// paying for them once the structure cache kicks in.
   [[nodiscard]] static std::int64_t reachability_computations();
 
   /// Out-neighbors of q (targets of labeled edges from q). Kept as a

@@ -68,12 +68,17 @@ struct McSummary {
   /// high-water mark reached while the trials ran (peak reset at batch
   /// start) and the bytes still live when they finished (structures
   /// retained by the intern domain and any caller-held state). The
-  /// n = 65,536 scale runs are sized by these.
+  /// n = 65,536 scale runs are sized by these. Both are summed from
+  /// per-thread counter blocks (util/metrics.hpp): the live total is
+  /// exact once the tiles are idle, as they are when a batch ends; the
+  /// peak is exact on one thread and within (threads - 1) x 64 KiB of
+  /// the true high-water mark when several tiles allocate at once.
   std::int64_t peak_proc_set_bytes = 0;
   std::int64_t live_proc_set_bytes = 0;
   /// Word-arena state after the batch: bytes parked for reuse in the
   /// per-thread arenas (outside live_proc_set_bytes) and the running
   /// count of dense materializations served from a recycled buffer.
+  /// Exact, like the live total.
   std::int64_t arena_proc_set_bytes = 0;
   std::int64_t arena_reuses = 0;
 

@@ -20,12 +20,11 @@ std::optional<TwoSourceWitness> find_two_source(const Digraph& skeleton,
                                                 const ProcSet& s) {
   SSKEL_REQUIRE(s.universe() == skeleton.n());
   for (ProcId p : skeleton.nodes()) {
-    const ProcSet receivers = skeleton.out_neighbors(p) & s;
-    if (receivers.count() >= 2) {
-      const ProcId a = receivers.first();
-      const ProcId b = receivers.next_after(a);
-      return TwoSourceWitness{p, a, b};
-    }
+    const ProcSet& out = skeleton.out_neighbors(p);
+    if (out.intersection_count(s) < 2) continue;
+    const ProcSet receivers = out & s;
+    const ProcId a = receivers.first();
+    return TwoSourceWitness{p, a, receivers.next_after(a)};
   }
   return std::nullopt;
 }
@@ -198,7 +197,7 @@ std::optional<ProcSet> greedy_hub_cover(const Digraph& skeleton) {
     ProcId best = -1;
     int best_cover = 0;
     for (ProcId p : skeleton.nodes()) {
-      const int c = (skeleton.out_neighbors(p) & uncovered).count();
+      const int c = skeleton.out_neighbors(p).intersection_count(uncovered);
       if (c > best_cover) {
         best_cover = c;
         best = p;

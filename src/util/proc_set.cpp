@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/metrics.hpp"
 #include "util/word_kernels.hpp"
 
 namespace sskel {
@@ -12,10 +13,8 @@ namespace {
 
 std::atomic<int> g_tier_policy{static_cast<int>(ProcSet::TierPolicy::kAuto)};
 std::atomic<std::size_t> g_tier_words{32};
-std::atomic<std::int64_t> g_live_bytes{0};
-std::atomic<std::int64_t> g_peak_bytes{0};
-std::atomic<std::int64_t> g_arena_bytes{0};
-std::atomic<std::int64_t> g_arena_reuses{0};
+
+using metrics::Counter;
 
 /// Per-thread recycling pool for dense payload vectors. Only buffers
 /// at least tier_threshold_words() long are worth parking (the small-
@@ -43,7 +42,7 @@ struct WordArena {
 
   void drop_all() {
     for (const auto& buf : buffers) {
-      g_arena_bytes.fetch_add(-buffer_bytes(buf), std::memory_order_relaxed);
+      metrics::add(Counter::kProcSetArenaBytes, -buffer_bytes(buf));
     }
     buffers.clear();
   }
@@ -71,8 +70,8 @@ std::vector<std::uint64_t> arena_acquire(std::size_t words) {
       std::vector<std::uint64_t> buf = std::move(pool[best]);
       pool.erase(pool.begin() +
                  static_cast<std::ptrdiff_t>(best));
-      g_arena_bytes.fetch_add(-buffer_bytes(buf), std::memory_order_relaxed);
-      g_arena_reuses.fetch_add(1, std::memory_order_relaxed);
+      metrics::add(Counter::kProcSetArenaBytes, -buffer_bytes(buf));
+      metrics::add(Counter::kProcSetArenaReuses, 1);
       buf.assign(words, 0);
       return buf;
     }
@@ -86,15 +85,8 @@ void arena_release(std::vector<std::uint64_t>&& buf) {
   if (buf.capacity() < ProcSet::tier_threshold_words()) return;
   WordArena* arena = thread_arena();
   if (arena == nullptr || arena->buffers.size() >= kArenaMaxBuffers) return;
-  g_arena_bytes.fetch_add(buffer_bytes(buf), std::memory_order_relaxed);
+  metrics::add(Counter::kProcSetArenaBytes, buffer_bytes(buf));
   arena->buffers.push_back(std::move(buf));
-}
-
-void bump_peak(std::int64_t live) {
-  std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
-  while (live > peak && !g_peak_bytes.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
 }
 
 /// Invokes fn(payload_word_index) for each set summary bit in
@@ -136,24 +128,19 @@ std::size_t ProcSet::tier_threshold_words() {
 }
 
 std::int64_t ProcSet::live_bytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
+  return metrics::total(Counter::kProcSetLiveBytes);
 }
 
-std::int64_t ProcSet::peak_bytes() {
-  return g_peak_bytes.load(std::memory_order_relaxed);
-}
+std::int64_t ProcSet::peak_bytes() { return metrics::peak_live_bytes(); }
 
-void ProcSet::reset_peak_bytes() {
-  g_peak_bytes.store(g_live_bytes.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
+void ProcSet::reset_peak_bytes() { metrics::reset_peak_live_bytes(); }
 
 std::int64_t ProcSet::arena_bytes() {
-  return g_arena_bytes.load(std::memory_order_relaxed);
+  return metrics::total(Counter::kProcSetArenaBytes);
 }
 
 std::int64_t ProcSet::arena_reuses() {
-  return g_arena_reuses.load(std::memory_order_relaxed);
+  return metrics::total(Counter::kProcSetArenaReuses);
 }
 
 void ProcSet::release_thread_arena() {
@@ -178,11 +165,8 @@ std::int64_t ProcSet::storage_bytes() const {
 void ProcSet::account() {
   const std::int64_t bytes = storage_bytes();
   if (bytes == footprint_) return;
-  const std::int64_t delta = bytes - footprint_;
-  const std::int64_t live =
-      g_live_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
+  metrics::add(Counter::kProcSetLiveBytes, bytes - footprint_);
   footprint_ = bytes;
-  if (delta > 0) bump_peak(live);
 }
 
 ProcSet::ProcSet(ProcId n) : n_(n) {
@@ -232,7 +216,7 @@ ProcSet& ProcSet::operator=(const ProcSet& other) {
 
 ProcSet& ProcSet::operator=(ProcSet&& other) noexcept {
   if (this == &other) return *this;
-  g_live_bytes.fetch_add(-footprint_, std::memory_order_relaxed);
+  if (footprint_ != 0) metrics::add(Counter::kProcSetLiveBytes, -footprint_);
   n_ = other.n_;
   sparse_ = other.sparse_;
   words_ = std::move(other.words_);
@@ -247,7 +231,7 @@ ProcSet& ProcSet::operator=(ProcSet&& other) noexcept {
 }
 
 ProcSet::~ProcSet() {
-  g_live_bytes.fetch_add(-footprint_, std::memory_order_relaxed);
+  if (footprint_ != 0) metrics::add(Counter::kProcSetLiveBytes, -footprint_);
   // Dense payloads of dying tiered sets (ProcSet::full temporaries,
   // scratch rows that never sparsified) are worth parking too.
   if (!sparse_ && !words_.empty()) arena_release(std::move(words_));
@@ -402,6 +386,48 @@ bool ProcSet::intersects(const ProcSet& other) const {
   }
   return wk::ops().intersects(words_.data(), other.words_.data(),
                               words_.size());
+}
+
+int ProcSet::intersection_count(const ProcSet& other) const {
+  SSKEL_REQUIRE(n_ == other.n_);
+  std::int64_t c = 0;
+  if (sparse_ || other.sparse_) {
+    // Only blocks of the sparse operand (the shorter list when both
+    // are sparse) can hold common members.
+    const bool walk_other =
+        !sparse_ || (other.sparse_ && other.sidx_.size() < sidx_.size());
+    const ProcSet& walk = walk_other ? other : *this;
+    const ProcSet& peer = walk_other ? *this : other;
+    for (std::size_t i = 0; i < walk.sidx_.size(); ++i) {
+      c += std::popcount(walk.sval_[i] & peer.word_at(walk.sidx_[i]));
+    }
+    return static_cast<int>(c);
+  }
+  if (!summary_.empty() && summary_.size() == other.summary_.size()) {
+    for (std::size_t s = 0; s < summary_.size(); ++s) {
+      std::uint64_t bits = summary_[s] & other.summary_[s];
+      while (bits != 0) {
+        const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::size_t w = s * 64 + j;
+        c += std::popcount(words_[w] & other.words_[w]);
+      }
+    }
+    return static_cast<int>(c);
+  }
+  const std::vector<std::uint64_t>& guide =
+      !summary_.empty() ? summary_ : other.summary_;
+  if (!guide.empty()) {
+    walk_blocks(guide, [&](std::size_t w) {
+      c += std::popcount(words_[w] & other.words_[w]);
+      return true;
+    });
+    return static_cast<int>(c);
+  }
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    c += std::popcount(words_[w] & other.words_[w]);
+  }
+  return static_cast<int>(c);
 }
 
 std::uint64_t ProcSet::intersect_core(const ProcSet& other, ProcSet* diff) {

@@ -32,10 +32,14 @@
 // builds bit-for-bit against each other. Benchmarks pin a mode via
 // ScopedTierPolicy to measure tiered-vs-dense honestly.
 //
-// Memory accounting: every ProcSet maintains its heap footprint in
-// process-wide live/peak counters (ProcSet::live_bytes() /
-// peak_bytes()), the backbone of the per-run memory story at
-// n = 65,536 surfaced through McSummary and the scale bench JSON.
+// Memory accounting: every ProcSet settles its heap footprint into the
+// calling thread's counter block (util/metrics.hpp), so set lifetimes
+// never write memory another thread writes. live_bytes(),
+// arena_bytes() and arena_reuses() are exact once the threads that
+// wrote them are quiescent; peak_bytes() is exact on one thread and
+// within (threads - 1) x 64 KiB otherwise. These are the backbone of
+// the per-run memory story at n = 65,536, surfaced through McSummary
+// and the scale bench JSON.
 #pragma once
 
 #include <algorithm>
@@ -76,9 +80,16 @@ class ProcSet {
   static void set_tier_threshold_words(std::size_t words);
   [[nodiscard]] static std::size_t tier_threshold_words();
 
-  /// Process-wide heap bytes currently owned by ProcSet storage, and
-  /// the high-water mark since the last reset_peak_bytes(). The scale
-  /// bench and the Monte-Carlo runner surface these per run.
+  /// Heap bytes currently owned by ProcSet storage, summed over every
+  /// thread's counter block: exact once the threads that built,
+  /// resized or destroyed sets are quiescent (a set may die on another
+  /// thread than the one that built it). peak_bytes() is the
+  /// high-water mark since the last reset_peak_bytes(): exact on one
+  /// thread, within (threads - 1) x 64 KiB otherwise, because each
+  /// thread holds back up to 64 KiB of its delta from the shared
+  /// total the peak is raised from. reset_peak_bytes() lowers the
+  /// peak to live_bytes() for every thread at once. The scale bench
+  /// and the Monte-Carlo runner surface these per run.
   [[nodiscard]] static std::int64_t live_bytes();
   [[nodiscard]] static std::int64_t peak_bytes();
   static void reset_peak_bytes();
@@ -91,7 +102,9 @@ class ProcSet {
   /// pointer swaps. arena_bytes() is the capacity currently parked in
   /// arenas across all threads (these bytes are *not* in live_bytes(),
   /// which counts only set-owned storage); arena_reuses() counts
-  /// dense materializations served from a recycled buffer.
+  /// dense materializations served from a recycled buffer. Both are
+  /// exact once the threads using arenas are quiescent, buffers
+  /// dropped by an exiting thread included.
   [[nodiscard]] static std::int64_t arena_bytes();
   [[nodiscard]] static std::int64_t arena_reuses();
   /// Frees the calling thread's parked buffers (tests and long-lived
@@ -168,6 +181,10 @@ class ProcSet {
 
   /// True iff the two sets share at least one member.
   [[nodiscard]] bool intersects(const ProcSet& other) const;
+
+  /// |*this ∩ other|, computed without building the intersection (no
+  /// allocation, whatever the two representations).
+  [[nodiscard]] int intersection_count(const ProcSet& other) const;
 
   /// In-place intersection / union / difference.
   ProcSet& operator&=(const ProcSet& other);
@@ -411,7 +428,7 @@ class ProcSet {
   void or_word_at_sparse(std::size_t w, std::uint64_t v);
 
   /// Recomputes the heap footprint and settles the delta into the
-  /// process-wide counters.
+  /// calling thread's counter block.
   void account();
   [[nodiscard]] std::int64_t storage_bytes() const;
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "adversary/figure1.hpp"
 #include "adversary/impossibility.hpp"
+#include "adversary/random_psrcs.hpp"
+#include "oracles/hub_cover.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -246,6 +251,95 @@ TEST(HubCoverTest, IsHubCoverRejectsNonCover) {
   g.add_self_loops();
   EXPECT_FALSE(is_hub_cover(g, ProcSet::of(4, {0})));
   EXPECT_TRUE(is_hub_cover(g, ProcSet::full(4)));
+}
+
+/// Skeletons the hub-cover certificate runs on, at universe n:
+/// disjoint complete blocks of sqrt(n) with a few cross-block edges
+/// (perfbench's `certify` shape), random out-neighbourhoods with
+/// self-loops, and a random Psrcs(k) adversary's stable skeleton (a
+/// hub cover by construction).
+std::vector<Digraph> certificate_skeletons(ProcId n, Rng& rng) {
+  const auto pick = [&rng, n] {
+    return static_cast<ProcId>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  std::vector<Digraph> out;
+  ProcId block = 1;
+  while (block * block < n) ++block;
+  Digraph blocks(n);
+  for (ProcId q = 0; q < n; ++q) {
+    const ProcId start = q / block * block;
+    for (ProcId p = start; p < n && p < start + block; ++p) {
+      blocks.add_edge(q, p);
+    }
+  }
+  for (ProcId i = 0; i < block; ++i) blocks.add_edge(pick(), pick());
+  out.push_back(std::move(blocks));
+
+  Digraph random(n);
+  random.add_self_loops();
+  for (ProcId q = 0; q < n; ++q) {
+    for (ProcId i = 0; i < block; ++i) random.add_edge(q, pick());
+  }
+  out.push_back(std::move(random));
+
+  RandomPsrcsParams params;
+  params.n = n;
+  params.k = static_cast<int>(block);
+  params.root_components = params.k;
+  params.max_core_size = 4;
+  params.follower_edge_probability = 4.0 / static_cast<double>(n);
+  out.push_back(RandomPsrcsSource(rng.next_u64(), params).stable_skeleton());
+  return out;
+}
+
+TEST(HubCoverTest, MatchesMaterializingOracle) {
+  for (const ProcId n : {64, 4096}) {
+    Rng rng(mix_seed(0xC07E2, static_cast<std::uint64_t>(n)));
+    for (const Digraph& g : certificate_skeletons(n, rng)) {
+      const std::optional<ProcSet> cover = greedy_hub_cover(g);
+      const std::optional<ProcSet> expected = oracles::greedy_hub_cover(g);
+      ASSERT_TRUE(expected.has_value());
+      ASSERT_TRUE(cover.has_value());
+      EXPECT_EQ(*cover, *expected) << "n=" << n << " got "
+                                   << cover->to_string() << " want "
+                                   << expected->to_string();
+    }
+  }
+}
+
+TEST(FindTwoSourceTest, MatchesMaterializingOracle) {
+  for (const ProcId n : {64, 4096}) {
+    Rng rng(mix_seed(0x2502CE, static_cast<std::uint64_t>(n)));
+    for (const Digraph& g : certificate_skeletons(n, rng)) {
+      // Subsets from one member up to half the universe, plus the full
+      // set and a greedy hub cover (witnesses and misses both occur).
+      std::vector<ProcSet> subsets;
+      for (const ProcId size : {ProcId{1}, ProcId{2}, ProcId{3}, ProcId{9},
+                                std::min<ProcId>(65, n / 2), n / 2}) {
+        ProcSet s(n);
+        while (s.count() < size) s.insert(static_cast<ProcId>(
+            rng.next_below(static_cast<std::uint64_t>(n))));
+        subsets.push_back(std::move(s));
+      }
+      subsets.push_back(ProcSet::full(n));
+      subsets.push_back(*greedy_hub_cover(g));
+      int found = 0;
+      for (const ProcSet& s : subsets) {
+        const std::optional<TwoSourceWitness> got = find_two_source(g, s);
+        const std::optional<TwoSourceWitness> want =
+            oracles::find_two_source(g, s);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "n=" << n << " s=" << s.to_string();
+        if (!got.has_value()) continue;
+        ++found;
+        EXPECT_EQ(got->source, want->source);
+        EXPECT_EQ(got->receiver_a, want->receiver_a);
+        EXPECT_EQ(got->receiver_b, want->receiver_b);
+      }
+      EXPECT_GT(found, 0);
+      EXPECT_LT(found, static_cast<int>(subsets.size()));
+    }
+  }
 }
 
 }  // namespace

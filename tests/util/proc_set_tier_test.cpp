@@ -410,5 +410,44 @@ TEST(ProcSetTierTest, PeakBytesTracksHighWaterMark) {
   EXPECT_LE(ProcSet::peak_bytes(), ProcSet::live_bytes());
 }
 
+TEST(ProcSet, IntersectionCountMatchesMaterialized) {
+  // Operands in every form: flat dense (built under kDenseOnly),
+  // summarized dense and sparse (kAuto), paired across policies for
+  // the mixed cases, and counted under both policies.
+  ScopedTierThreshold threshold(1);
+  const ProcSet::TierPolicy policies[] = {ProcSet::TierPolicy::kAuto,
+                                          ProcSet::TierPolicy::kDenseOnly};
+  for (const ProcId n : {64, 200, 1024, 4096}) {
+    Rng rng(mix_seed(0xC0C0, static_cast<std::uint64_t>(n)));
+    std::vector<ProcSet> sets;
+    int sparse = 0;
+    for (const ProcSet::TierPolicy policy : policies) {
+      ScopedTierPolicy scope(policy);
+      sets.emplace_back(n);
+      sets.push_back(ProcSet::full(n));
+      for (int i = 0; i < 10; ++i) {
+        ProcSet s = random_set(rng, n, 0.05 + 0.1 * static_cast<double>(i),
+                               i % 2 == 0 ? 0.1 : 0.7);
+        s.compact();
+        sparse += s.is_sparse() && !s.empty() ? 1 : 0;
+        sets.push_back(std::move(s));
+      }
+    }
+    if (n >= 1024) {
+      EXPECT_GT(sparse, 0) << "n=" << n;
+    }
+    for (const ProcSet::TierPolicy policy : policies) {
+      ScopedTierPolicy scope(policy);
+      for (std::size_t i = 0; i < sets.size(); ++i) {
+        for (std::size_t j = 0; j < sets.size(); ++j) {
+          ASSERT_EQ(sets[i].intersection_count(sets[j]),
+                    (sets[i] & sets[j]).count())
+              << "n=" << n << " i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sskel
