@@ -6,20 +6,48 @@
 // from a network run — whatever loss, lateness, skew and deadline-tie
 // schedule produced them — must drive the Simulator to the identical
 // KSetRunReport. The capture also has to survive its own codec on the
-// way (encode → decode → ReplaySource), so the fuzzer exercises the
-// full record/replay pipeline end to end.
+// way (encode → decode → ScheduleSource), so the fuzzer exercises the
+// full record/replay pipeline end to end. The recording side is
+// fuzz-chosen: the ring-plane driver or the event-queue oracle.
 #include <cstdint>
 #include <vector>
 
 #include "fuzz_input.hpp"
 #include "kset/message.hpp"
 #include "net/kset_net.hpp"
-#include "rounds/record.hpp"
+#include "oracles/event_queue_driver.hpp"
+#include "rounds/graph_source.hpp"
 #include "rounds/trace.hpp"
 #include "util/assert.hpp"
 
 using namespace sskel;
 using sskel::fuzz::FuzzInput;
+
+namespace {
+
+struct NetRun {
+  KSetRunReport report;
+  RunCapture capture;
+};
+
+template <typename Driver>
+NetRun record_net_run(const LinkMatrix& links, const NetKSetConfig& config) {
+  const ProcId n = links.n();
+  Driver driver(config.net, links, make_kset_processes(n, config.run));
+  TraceRecorder recorder(n, driver.trace_source(), config.net.seed,
+                         config.net.round_duration);
+  driver.set_trace_sink(&recorder, [](const SkeletonMessage& m,
+                                      std::vector<std::uint8_t>& out) {
+    encode_message(m, out);
+  });
+  recorder.attach(driver);
+  NetRun out;
+  out.report = run_kset_on_engine(driver, config.run);
+  out.capture = recorder.finish(driver.trace());
+  return out;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -58,21 +86,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                               0, static_cast<std::uint32_t>(duration - lo)));
   links.upgrade_to_timely(stable, lo, hi);
 
-  config.net.plane =
-      input.boolean() ? NetPlane::kRing : NetPlane::kEventQueue;
+  const bool on_oracle = input.boolean();
   config.net.ring_depth = input.in_range(0, 3);
 
-  NetRoundDriver<SkeletonMessage> driver(
-      config.net, links, make_kset_processes(n, config.run));
-  TraceRecorder recorder(n, driver.trace_source(), config.net.seed,
-                         config.net.round_duration);
-  driver.set_trace_sink(&recorder, [](const SkeletonMessage& m,
-                                      std::vector<std::uint8_t>& out) {
-    encode_message(m, out);
-  });
-  recorder.attach(driver);
-  const KSetRunReport net = run_kset_on_engine(driver, config.run);
-  const RunCapture capture = recorder.finish(driver.trace());
+  const NetRun recorded =
+      on_oracle
+          ? record_net_run<oracles::EventQueueDriver<SkeletonMessage>>(links,
+                                                                       config)
+          : record_net_run<NetRoundDriver<SkeletonMessage>>(links, config);
+  const KSetRunReport& net = recorded.report;
+  const RunCapture& capture = recorded.capture;
   if (capture.graphs.empty()) return 0;  // max_rounds 0-round degenerate
 
   // Replay through the codec, not the in-memory capture: the bytes on
@@ -81,7 +104,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   SSKEL_REQUIRE(decoded.ok());
   SSKEL_REQUIRE(decoded.value() == capture);
 
-  ReplaySource replay(decoded.value().graphs);
+  ScheduleSource replay(decoded.value().graphs);
   const KSetRunReport sim = run_kset(replay, config.run);
 
   SSKEL_REQUIRE(sim.n == net.n);

@@ -1,18 +1,20 @@
-// Fuzz target: the two message planes of NetRoundDriver, differentially.
+// Fuzz target: NetRoundDriver against the event-queue oracle.
 //
 // The fuzz input picks a small universe, skews, link matrix (timely /
 // flaky / lossy mix, deadline-tie delays included) and ring depth; the
-// same k-set run then executes on the ring plane and the event-queue
-// plane. Reports must be bit-equal (DESIGN.md §12) and the full
-// captures — broadcasts, delivery fates, closes — identical. Tiny ring
-// depths are part of the search space deliberately: backpressure and
-// frag reassembly must not change observable behaviour.
+// same k-set run then executes on the ring-plane driver and on the
+// event-queue oracle (tests/oracles/event_queue_driver.hpp). Reports
+// must be bit-equal (DESIGN.md §12) and the full captures —
+// broadcasts, delivery fates, closes — identical. Tiny ring depths are
+// part of the search space deliberately: backpressure and frag
+// reassembly must not change observable behaviour.
 #include <cstdint>
 #include <vector>
 
 #include "fuzz_input.hpp"
 #include "kset/message.hpp"
 #include "net/kset_net.hpp"
+#include "oracles/event_queue_driver.hpp"
 #include "rounds/trace.hpp"
 #include "util/assert.hpp"
 
@@ -30,13 +32,10 @@ struct PlaneRun {
   SimTime wall_clock = 0;
 };
 
-PlaneRun run_plane(const LinkMatrix& links, NetKSetConfig config,
-                   NetPlane plane, std::size_t ring_depth) {
-  config.net.plane = plane;
-  config.net.ring_depth = ring_depth;
+template <typename Driver>
+PlaneRun run_plane(const LinkMatrix& links, const NetKSetConfig& config) {
   const ProcId n = links.n();
-  NetRoundDriver<SkeletonMessage> driver(
-      config.net, links, make_kset_processes(n, config.run));
+  Driver driver(config.net, links, make_kset_processes(n, config.run));
   TraceRecorder recorder(n, driver.trace_source(), config.net.seed,
                          config.net.round_duration);
   driver.set_trace_sink(&recorder, [](const SkeletonMessage& m,
@@ -93,10 +92,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                               0, static_cast<std::uint32_t>(duration - lo)));
   links.upgrade_to_timely(stable, lo, hi);
 
-  const std::size_t ring_depth = input.in_range(0, 3);
+  config.net.ring_depth = input.in_range(0, 3);
   const PlaneRun ring =
-      run_plane(links, config, NetPlane::kRing, ring_depth);
-  const PlaneRun eq = run_plane(links, config, NetPlane::kEventQueue, 0);
+      run_plane<NetRoundDriver<SkeletonMessage>>(links, config);
+  const PlaneRun eq =
+      run_plane<oracles::EventQueueDriver<SkeletonMessage>>(links, config);
 
   SSKEL_REQUIRE(ring.report.outcomes.size() == eq.report.outcomes.size());
   for (std::size_t p = 0; p < ring.report.outcomes.size(); ++p) {

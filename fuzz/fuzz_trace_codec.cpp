@@ -46,4 +46,17 @@ extern "C" void sskel_fuzz_seed_corpus(
   RunCapture minimal;
   minimal.header = TraceHeader{1, TraceSource::kSimulator, 0, 0};
   out->push_back(encode_trace(minimal));
+
+  // A simulator capture with node churn: graph bodies whose node
+  // bitmap drops a process and whose rows must stay inside it.
+  Digraph a(9);
+  a.add_self_loops();
+  a.add_edge(0, 5);
+  a.add_edge(7, 3);
+  Digraph b = a;
+  b.remove_node(8);
+  RunCapture churn;
+  churn.header = TraceHeader{9, TraceSource::kSimulator, 0, 0};
+  churn.graphs = {a, b, a};
+  out->push_back(encode_trace(churn));
 }

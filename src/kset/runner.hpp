@@ -90,6 +90,8 @@ struct KSetRunReport {
   /// Lemma 11's termination bound for this run's guard:
   /// max(r_ST, 1) + 2n - 1, plus 1 for the strict Line-28 guard.
   [[nodiscard]] Round termination_bound(DecisionGuard guard) const;
+
+  bool operator==(const KSetRunReport&) const = default;
 };
 
 /// Builds the Algorithm 1 process vector for any substrate: one

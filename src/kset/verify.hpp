@@ -18,6 +18,8 @@ struct Outcome {
   bool decided = false;
   Value decision = kNoValue;  // meaningful iff decided
   Round decision_round = 0;   // meaningful iff decided
+
+  bool operator==(const Outcome&) const = default;
 };
 
 struct KSetVerdict {
@@ -31,6 +33,8 @@ struct KSetVerdict {
   [[nodiscard]] bool all_hold() const {
     return k_agreement && validity && termination;
   }
+
+  bool operator==(const KSetVerdict&) const = default;
 };
 
 /// Checks the three k-set agreement properties over per-process

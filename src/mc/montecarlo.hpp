@@ -53,8 +53,8 @@ struct McSummary {
   Accumulator late_messages;
   Accumulator lost_messages;
   Accumulator wall_clock_ms;  // simulated milliseconds
-  /// Total ring-plane flow-control stalls across the batch (0 when the
-  /// drivers ran the event-queue plane or rings never ran dry).
+  /// Total ring-plane flow-control stalls across the batch (0 when
+  /// rings never ran dry).
   std::int64_t credit_stalls = 0;
 
   /// Structure-interning counters, merged over the per-tile shards

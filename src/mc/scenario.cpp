@@ -287,7 +287,6 @@ void NetScenario::append_fingerprint(std::vector<std::uint8_t>& out) const {
   fp_int(out, static_cast<std::int64_t>(net_.skews.size()));
   for (const SimTime skew : net_.skews) fp_int(out, skew);
   // net_.seed is excluded: the trial seed overrides it per trial.
-  fp_int(out, static_cast<std::int64_t>(net_.plane));
   fp_int(out, static_cast<std::int64_t>(net_.ring_depth));
 }
 

@@ -33,7 +33,7 @@ struct ScenarioTrial {
   std::int64_t delivered_messages = 0;
   std::int64_t late_messages = 0;
   std::int64_t lost_messages = 0;
-  /// Ring-plane flow-control stalls (0 on the event-queue plane).
+  /// Ring-plane flow-control stalls.
   std::int64_t credit_stalls = 0;
   SimTime wall_clock = 0;  // simulated microseconds; 0 off-network
 };

@@ -18,33 +18,29 @@
 // else, which is precisely the paper's unified model. Late messages
 // are discarded (communication closure) and counted.
 //
-// Message plane (DESIGN.md §12). Two implementations of the delivery
-// hot path share this synchronizer:
+// Message plane (DESIGN.md §12). On-time broadcasts go through
+// lock-free frag rings: the payload is written once into a shared
+// dcache slot keyed by (sender, round parity), and one descriptor per
+// recipient is published into that recipient's credit-gated FragRing
+// (net/ring.hpp, net/fctl.hpp). Rings drain in batch when the
+// recipient closes a round — timeliness is *analytic* (the descriptor
+// carries the arrival time; (*) is evaluated against the receiver's
+// deadline), so no per-message event, closure, or allocation exists on
+// the path. Only round closes and the rare late arrivals remain on the
+// event queue, which is retained purely for timer semantics. If a
+// recipient's ring runs out of credits (tiny test depths), the driver
+// performs an early opportunistic drain — semantics-preserving, since
+// deposits are keyed by sender and timeliness is analytic — and counts
+// a credit stall.
 //
-//   * NetPlane::kRing (default) — on-time broadcasts go through
-//     lock-free frag rings: the payload is written once into a shared
-//     dcache slot keyed by (sender, round parity), and one descriptor
-//     per recipient is published into that recipient's credit-gated
-//     FragRing (net/ring.hpp, net/fctl.hpp). Rings drain in batch when
-//     the recipient closes a round — timeliness is *analytic* (the
-//     descriptor carries the arrival time; (*) is evaluated against
-//     the receiver's deadline), so no per-message event, closure, or
-//     allocation exists on the path. Only round closes and the rare
-//     late arrivals remain on the event queue, which is retained
-//     purely for timer semantics. If a recipient's ring runs out of
-//     credits (tiny test depths), the driver performs an early
-//     opportunistic drain — semantics-preserving, since deposits are
-//     keyed by sender and timeliness is analytic — and counts a
-//     credit stall.
-//   * NetPlane::kEventQueue — the legacy path: one scheduled event per
-//     delivery. Kept as the baseline for the throughput bench and the
-//     bit-equality tripwire (tests/net/plane_equivalence_test.cpp).
-//
-// Both planes consume the RNG identically and produce bit-identical
-// reports: inbox deposits commute (keyed by sender), byte accounting
-// is a sum/max, and the one observable tie — arrival exactly at the
-// deadline while the receiver's close event ordered first — is
-// reproduced analytically (close_precedes_delivery_at_tie).
+// The specification of this plane is the event-queue oracle
+// (tests/oracles/event_queue_driver.hpp): the same synchronizer with
+// one scheduled event per delivery. The two consume the RNG
+// identically and produce bit-identical reports: inbox deposits
+// commute (keyed by sender), byte accounting is a sum/max, and the one
+// observable tie — arrival exactly at the deadline while the
+// receiver's close event ordered first — is reproduced analytically
+// (close_precedes_delivery_at_tie).
 //
 // As a RoundEngine, the driver surfaces each derived graph through
 // step() and the shared observer bus, and feeds the shared RunTrace
@@ -72,11 +68,6 @@
 
 namespace sskel {
 
-/// Which delivery hot path the driver runs on (see the header
-/// comment). Both planes are observationally identical; kEventQueue
-/// exists as the measured baseline and equivalence oracle.
-enum class NetPlane : std::uint8_t { kRing, kEventQueue };
-
 struct NetConfig {
   /// Round duration D in microseconds (the synchronizer's timeout).
   SimTime round_duration = 1000;
@@ -85,8 +76,6 @@ struct NetConfig {
   std::vector<SimTime> skews;
   /// Seed for all delay sampling.
   std::uint64_t seed = 1;
-  /// Delivery hot path.
-  NetPlane plane = NetPlane::kRing;
   /// Descriptor depth of each per-recipient frag ring; 0 = automatic
   /// (2n, enough for the two live rounds a recipient can have in
   /// flight, so credit stalls never occur). Tests set tiny depths to
@@ -122,37 +111,34 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       SSKEL_REQUIRE(processes_[i] != nullptr);
       SSKEL_REQUIRE(processes_[i]->id() == static_cast<ProcId>(i));
     }
-    finalized_round_.assign(n, 0);
     use_rows64_ = n <= 64;
 
-    if (config_.plane == NetPlane::kRing) {
-      const std::size_t depth =
-          config_.ring_depth != 0 ? config_.ring_depth : 2 * n;
-      rings_.reserve(n);
-      fctl_.reserve(n);
-      cursors_.resize(n);
-      drain_fseq_ = std::vector<FlowSeq>(n);
-      for (std::size_t q = 0; q < n; ++q) {
-        // Payload slots live in the shared dcache_, not the ring;
-        // descriptors carry dcache indices.
-        rings_.emplace_back(depth, 1);
-        fctl_.emplace_back(rings_.back().depth());
-        fctl_.back().add_consumer(&drain_fseq_[q]);
-      }
-      // Close calendar: rounds close in one fixed per-round order —
-      // by deadline, i.e. by skew, FIFO (= bootstrap = id) on ties —
-      // so the ring plane ticks closes off this precomputed cycle
-      // instead of paying the event heap for its only periodic timer.
-      close_order_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        close_order_[i] = static_cast<ProcId>(i);
-      }
-      std::stable_sort(close_order_.begin(), close_order_.end(),
-                       [this](ProcId a, ProcId b) { return skew(a) < skew(b); });
-      close_time_.assign(n, 0);
-      close_seq_.assign(n, 0);
-      close_round_.assign(n, 0);
+    const std::size_t depth =
+        config_.ring_depth != 0 ? config_.ring_depth : 2 * n;
+    rings_.reserve(n);
+    fctl_.reserve(n);
+    cursors_.resize(n);
+    drain_fseq_ = std::vector<FlowSeq>(n);
+    for (std::size_t q = 0; q < n; ++q) {
+      // Payload slots live in the shared dcache_, not the ring;
+      // descriptors carry dcache indices.
+      rings_.emplace_back(depth, 1);
+      fctl_.emplace_back(rings_.back().depth());
+      fctl_.back().add_consumer(&drain_fseq_[q]);
     }
+    // Close calendar: rounds close in one fixed per-round order — by
+    // deadline, i.e. by skew, FIFO (= bootstrap = id) on ties — so the
+    // driver ticks closes off this precomputed cycle instead of paying
+    // the event heap for its only periodic timer.
+    close_order_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      close_order_[i] = static_cast<ProcId>(i);
+    }
+    std::stable_sort(close_order_.begin(), close_order_.end(),
+                     [this](ProcId a, ProcId b) { return skew(a) < skew(b); });
+    close_time_.assign(n, 0);
+    close_seq_.assign(n, 0);
+    close_round_.assign(n, 0);
 
     // Bootstrap: every process starts round 1 at skew_p.
     for (ProcId p = 0; p < this->n(); ++p) {
@@ -181,7 +167,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   /// Messages that arrived on time, *as of the current cut*. The ring
   /// plane moves deposits off the arrival instant (drains run at round
   /// closes; zombies count at publish), so the raw tally would run
-  /// ahead of the event-queue plane's whenever the cut leaves
+  /// ahead of the event-queue oracle's whenever the cut leaves
   /// deliveries in flight. The accessor restores arrival-time
   /// semantics analytically: an on-time message counts iff its arrival
   /// precedes now(), or lands exactly on it while belonging to the
@@ -208,16 +194,15 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   }
 
   /// Ring-plane backpressure events: publishes that found a recipient
-  /// ring out of credits and forced an early drain. Always 0 on the
-  /// event-queue plane and with automatic ring depth.
+  /// ring out of credits and forced an early drain. Always 0 with
+  /// automatic ring depth.
   [[nodiscard]] std::int64_t credit_stalls() const {
     std::int64_t total = 0;
     for (const FlowControl& fctl : fctl_) total += fctl.stalls();
     return total;
   }
 
-  /// Frags published across all recipient rings (0 on the event-queue
-  /// plane).
+  /// Frags published across all recipient rings.
   [[nodiscard]] std::int64_t ring_frags() const {
     std::int64_t total = 0;
     for (const auto& ring : rings_) {
@@ -226,32 +211,29 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     return total;
   }
 
-  [[nodiscard]] NetPlane plane() const { return config_.plane; }
-
   /// Optional wire encoder for trace capture: writes `msg`'s encoded
   /// bytes into the scratch vector (cleared by the driver first).
   using TraceEncoder = std::function<void(const Msg&, std::vector<std::uint8_t>&)>;
 
   /// Installs a capture sink for the delivery/close schedule (null
   /// detaches). Must be called before the first step(). With a sink
-  /// installed the ring plane additionally schedules one no-op trace
+  /// installed the driver additionally schedules one no-op trace
   /// event per on-time/tie message at its arrival instant — matching
-  /// the event-queue plane's per-delivery events one for one — so the
-  /// two planes' captures carry identical delivery/close orderings
-  /// and identical event-queue sequence numbers. Tracing is not the
-  /// hot path; the ring plane's zero-event delivery property holds
-  /// whenever no sink is attached. When `encoder` is provided the
-  /// sink also receives every broadcast's encoded payload.
+  /// the event-queue oracle's per-delivery events one for one — so the
+  /// two captures carry identical delivery/close orderings and
+  /// identical event-queue sequence numbers. Tracing is not the hot
+  /// path; the zero-event delivery property holds whenever no sink is
+  /// attached. When `encoder` is provided the sink also receives every
+  /// broadcast's encoded payload.
   void set_trace_sink(NetTraceSink* sink, TraceEncoder encoder = nullptr) {
     SSKEL_REQUIRE(derived_rounds_ == 0);
     sink_ = sink;
     trace_encoder_ = std::move(encoder);
   }
 
-  /// The TraceSource tag matching this driver's plane.
+  /// The TraceSource tag of this driver's captures.
   [[nodiscard]] TraceSource trace_source() const {
-    return config_.plane == NetPlane::kRing ? TraceSource::kNetRing
-                                            : TraceSource::kNetEventQueue;
+    return TraceSource::kNetRing;
   }
 
   /// Rounds whose derived graph is complete (every process closed the
@@ -279,28 +261,26 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   }
 
  private:
-  /// Runs the earliest pending timer: the event-queue head or, on the
-  /// ring plane, the next calendar close — whichever's (time, seq)
-  /// key is smaller. Calendar closes carry seqs drawn from the queue
-  /// at registration, so the FIFO tie-break is exactly the one the
-  /// heap would have applied had the close been scheduled.
+  /// Runs the earliest pending timer: the event-queue head or the
+  /// next calendar close — whichever's (time, seq) key is smaller.
+  /// Calendar closes carry seqs drawn from the queue at registration,
+  /// so the FIFO tie-break is exactly the one the heap would have
+  /// applied had the close been scheduled.
   bool pump() {
-    if (config_.plane == NetPlane::kRing) {
-      const ProcId p = close_order_[next_close_];
-      const std::size_t pi = static_cast<std::size_t>(p);
-      if (close_round_[pi] != 0) {  // calendar armed (bootstrap done)
-        SimTime head_time = 0;
-        std::uint64_t head_seq = 0;
-        const bool queued = queue_.peek_key(head_time, head_seq);
-        const SimTime due = close_time_[pi];
-        if (!queued || due < head_time ||
-            (due == head_time && close_seq_[pi] < head_seq)) {
-          queue_.advance_now(due);
-          const Round r = close_round_[pi];
-          next_close_ = (next_close_ + 1) % close_order_.size();
-          close_round(p, r);
-          return true;
-        }
+    const ProcId p = close_order_[next_close_];
+    const std::size_t pi = static_cast<std::size_t>(p);
+    if (close_round_[pi] != 0) {  // calendar armed (bootstrap done)
+      SimTime head_time = 0;
+      std::uint64_t head_seq = 0;
+      const bool queued = queue_.peek_key(head_time, head_seq);
+      const SimTime due = close_time_[pi];
+      if (!queued || due < head_time ||
+          (due == head_time && close_seq_[pi] < head_seq)) {
+        queue_.advance_now(due);
+        const Round r = close_round_[pi];
+        next_close_ = (next_close_ + 1) % close_order_.size();
+        close_round(p, r);
+        return true;
       }
     }
     return queue_.step();
@@ -329,7 +309,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
 
   /// Event-queue seq order for the one observable tie: a message
   /// arriving exactly at the receiver's deadline races the receiver's
-  /// close event. On the event-queue plane both land at the same
+  /// close event. In the event-queue oracle both land at the same
   /// timestamp and FIFO seq decides; seqs follow scheduling order,
   /// which follows the start-event order of the two processes —
   /// (skew, id) lexicographic. The ring plane reproduces the verdict
@@ -340,20 +320,9 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     return from > to;
   }
 
-  /// On-time deposit into (to, r)'s inbox. Deposits commute: they are
-  /// keyed by sender, so drain order never affects the round's
-  /// outcome. Counting is the caller's job (the planes count at
-  /// different instants; see delivered_messages()).
-  void deposit(ProcId from, ProcId to, Round r, const Msg& msg) {
-    RoundInboxSlot<Msg>& slot = inboxes_.acquire(to, r);
-    slot.senders.insert(from);
-    slot.messages[static_cast<std::size_t>(from)] = msg;
-    account_delivery(r, msg);
-  }
-
-  /// Ring-plane count of one on-time message: eager when its arrival
-  /// is already in the past (any future cut includes it), deferred to
-  /// the analytic accessor otherwise.
+  /// Count of one on-time message: eager when its arrival is already
+  /// in the past (any future cut includes it), deferred to the
+  /// analytic accessor otherwise.
   void count_delivery(SimTime arrival, Round r) {
     if (arrival <= queue_.now()) {
       ++delivered_;
@@ -362,8 +331,8 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     }
   }
 
-  /// Ring plane: publishes one delivery descriptor into the
-  /// recipient's ring, early-draining on credit exhaustion.
+  /// Publishes one delivery descriptor into the recipient's ring,
+  /// early-draining on credit exhaustion.
   void publish_frag(ProcId from, ProcId to, Round r, SimTime arrival,
                     std::uint32_t slot) {
     FragRing<Msg>& ring = rings_[static_cast<std::size_t>(to)];
@@ -446,7 +415,6 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     own.messages[static_cast<std::size_t>(p)] = msg;
     account_delivery(r, msg);
 
-    const bool ring_plane = config_.plane == NetPlane::kRing;
     // now() is loop-invariant (schedule/take_seq never move the
     // clock); hoist it past the publish stores.
     const SimTime send_time = queue_.now();
@@ -458,24 +426,18 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       const SimTime delay = sample_delay(links_.at(p, q), slack, rng_);
       if (delay == kLost) {
         ++lost_;
-        // Both planes learn of a drop at the send instant; record it
-        // there so captures agree across planes.
+        // The oracle learns of a drop at the send instant too; record
+        // it there so captures agree.
         if (sink_ != nullptr) {
           sink_->on_delivery(DeliveryKind::kDropped, r, p, q, send_time);
         }
         continue;
       }
       const SimTime arrival = send_time + delay;
-      if (!ring_plane) {
-        queue_.schedule(arrival, [this, p, q, r] {
-          deliver(/*from=*/p, /*to=*/q, r);
-        });
-        continue;
-      }
       const SimTime due = deadline(q, r);
       if (arrival > due) {
         // Late: never enters the ring. The timer event reproduces the
-        // event-queue plane's counting cutoff exactly — a late
+        // event-queue oracle's counting cutoff exactly — a late
         // arrival past the run's final event stays uncounted there
         // too.
         queue_.schedule(arrival, [this, p, q, r] {
@@ -485,7 +447,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
           }
         });
       } else if (arrival == due && close_precedes_delivery_at_tie(p, q)) {
-        // The event-queue plane would run the close first and the
+        // The event-queue oracle runs the close first and the
         // delivery into a dead inbox right after: counted and
         // byte-accounted, never consumed.
         count_delivery(arrival, r);
@@ -497,22 +459,18 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       }
     }
 
-    if (ring_plane) {
-      // Register the close on the calendar (seq keeps the FIFO
-      // interleave with any late timers queued above).
-      const std::size_t pi = static_cast<std::size_t>(p);
-      close_time_[pi] = deadline(p, r);
-      close_seq_[pi] = queue_.take_seq();
-      close_round_[pi] = r;
-    } else {
-      queue_.schedule(deadline(p, r), [this, p, r] { close_round(p, r); });
-    }
+    // Register the close on the calendar (seq keeps the FIFO
+    // interleave with any late timers queued above).
+    const std::size_t pi = static_cast<std::size_t>(p);
+    close_time_[pi] = deadline(p, r);
+    close_seq_[pi] = queue_.take_seq();
+    close_round_[pi] = r;
   }
 
-  /// Ring plane, sink attached: schedules the no-op trace event that
-  /// stands in for the event-queue plane's delivery event at the same
-  /// (time, seq) slot, keeping the two planes' captures and sequence
-  /// streams aligned (see set_trace_sink).
+  /// Sink attached: schedules the no-op trace event that stands in
+  /// for the event-queue oracle's delivery event at the same
+  /// (time, seq) slot, keeping the two captures and sequence streams
+  /// aligned (see set_trace_sink).
   void schedule_trace_delivery(ProcId from, ProcId to, Round r,
                                SimTime arrival, bool tie_discard) {
     queue_.schedule(arrival, [this, from, to, r, tie_discard] {
@@ -522,40 +480,16 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     });
   }
 
-  /// Event-queue plane only: one scheduled event per delivery.
-  void deliver(ProcId from, ProcId to, Round r) {
-    if (queue_.now() > deadline(to, r)) {
-      ++late_;  // communication closure: the round already ended
-      if (sink_ != nullptr) {
-        sink_->on_delivery(DeliveryKind::kLate, r, from, to, queue_.now());
-      }
-      return;
-    }
-    ++delivered_;
-    // Arrival exactly at the deadline after the close already ran: the
-    // deposit lands in a dead inbox (counted, never consumed) — the
-    // tie the ring plane reproduces analytically.
-    if (sink_ != nullptr) {
-      const bool dead =
-          finalized_round_[static_cast<std::size_t>(to)] >= r;
-      sink_->on_delivery(
-          dead ? DeliveryKind::kTieDiscard : DeliveryKind::kOnTime, r, from,
-          to, queue_.now());
-    }
-    deposit(from, to, r, dcache_[dcache_slot(from, r)]);
-  }
-
   void close_round(ProcId p, Round r) {
     if (sink_ != nullptr) sink_->on_close(r, p, queue_.now());
-    // Ring plane: batch-consume everything published since the last
-    // close (round-r frags, plus early round-(r+1) frags that simply
-    // land in the other parity slot).
-    if (config_.plane == NetPlane::kRing) drain_ring(p);
+    // Batch-consume everything published since the last close
+    // (round-r frags, plus early round-(r+1) frags that simply land in
+    // the other parity slot).
+    drain_ring(p);
 
     RoundInboxSlot<Msg>& slot = inboxes_.acquire(p, r);
     const Inbox<Msg> view(slot.senders, slot.messages);
     processes_[static_cast<std::size_t>(p)]->transition(r, view);
-    finalized_round_[static_cast<std::size_t>(p)] = r;
 
     // Record the derived communication-graph row *after* the
     // transition: when the last row of round r lands, every process is
@@ -647,7 +581,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     }
   }
 
-  /// A ring-plane on-time message counted before its arrival instant
+  /// An on-time message counted before its arrival instant
   /// (early drain or publish-time zombie); settled into delivered_
   /// once its arrival passes, evaluated analytically at a cut before.
   struct FutureCount {
@@ -663,12 +597,12 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   InboxBuffer<Msg> inboxes_;
   /// Shared payload dcache: 2 slots per sender (round parity).
   std::vector<Msg> dcache_;
-  /// Ring plane state (empty on the event-queue plane).
+  /// Per-recipient frag rings, their credit gates and drain cursors.
   std::vector<FragRing<Msg>> rings_;
   std::vector<FlowControl> fctl_;
   std::vector<FlowSeq> drain_fseq_;
   std::vector<typename FragRing<Msg>::Cursor> cursors_;
-  /// Close calendar (ring plane): the fixed per-round close order and
+  /// Close calendar: the fixed per-round close order and
   /// each process's pending close (absolute time, tie-break seq,
   /// round; round 0 = not yet armed).
   std::vector<ProcId> close_order_;
@@ -676,7 +610,6 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   std::vector<std::uint64_t> close_seq_;
   std::vector<Round> close_round_;
   std::size_t next_close_ = 0;
-  std::vector<Round> finalized_round_;
   std::vector<FutureCount> future_counts_;
   std::vector<PendingRound> pending_rounds_;
   /// Retired round records (graph reset, rows re-zeroed), ready for

@@ -35,10 +35,10 @@ struct NetKSetReport {
   std::int64_t late_messages = 0;
   std::int64_t lost_messages = 0;
   /// Ring-plane flow control: publish attempts that found the
-  /// receiver's ring out of credits (0 on the event-queue plane, and
-  /// on the ring plane whenever ring_depth covers the skew window).
+  /// receiver's ring out of credits (0 whenever ring_depth covers the
+  /// skew window).
   std::int64_t credit_stalls = 0;
-  /// Frags that crossed a ring (0 on the event-queue plane).
+  /// Frags that crossed a ring.
   std::int64_t ring_frags = 0;
   SimTime wall_clock = 0;  // simulated microseconds
 };

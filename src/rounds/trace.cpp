@@ -9,7 +9,7 @@
 
 #include <limits>
 
-#include "rounds/record.hpp"
+#include "util/assert.hpp"
 #include "util/varint.hpp"
 
 namespace sskel {
@@ -56,6 +56,76 @@ void put_frame(std::vector<std::uint8_t>& out, TraceFrame type,
   std::uint64_t v = 0;
   if (!r.read_varint_max(v, kMaxTime, field)) return false;
   out = static_cast<SimTime>(v);
+  return true;
+}
+
+// --- kGraph bodies --------------------------------------------------------
+//
+// One graph is a node bitmap followed by n out-row bitmaps, each
+// ceil(n/8) bytes, bit p of byte p/8 standing for process p. n itself
+// comes from the header frame.
+
+void encode_bitmap(std::vector<std::uint8_t>& out, const ProcSet& set) {
+  const std::size_t bytes = (static_cast<std::size_t>(set.universe()) + 7) / 8;
+  std::vector<std::uint8_t> bitmap(bytes, 0);
+  for (ProcId p : set) {
+    bitmap[static_cast<std::size_t>(p) / 8] |=
+        static_cast<std::uint8_t>(1u << (static_cast<unsigned>(p) % 8));
+  }
+  out.insert(out.end(), bitmap.begin(), bitmap.end());
+}
+
+/// Bounds-checked bitmap read. The fixed-width layout means padding
+/// bits (indices >= n in the last byte) must be zero, or two byte
+/// strings would decode to the same set.
+[[nodiscard]] bool decode_bitmap(ByteReader& reader, ProcId n, ProcSet& set,
+                                 const char* field) {
+  const std::size_t bytes = (static_cast<std::size_t>(n) + 7) / 8;
+  // Expressed against remaining() — a `pos + bytes` sum can wrap for
+  // the huge n a hostile header smuggles in.
+  if (!reader.require_bytes(bytes, field)) return false;
+  const std::uint8_t* data = reader.cursor();
+  const unsigned tail_bits = static_cast<unsigned>(n) % 8;
+  if (tail_bits != 0 &&
+      (data[bytes - 1] & static_cast<std::uint8_t>(0xffu << tail_bits))) {
+    return reader.fail(DecodeStatus::kValueOutOfRange, field);
+  }
+  set = ProcSet(n);
+  for (ProcId p = 0; p < n; ++p) {
+    if (data[static_cast<std::size_t>(p) / 8] &
+        (1u << (static_cast<unsigned>(p) % 8))) {
+      set.insert(p);
+    }
+  }
+  reader.skip(bytes);
+  return true;
+}
+
+void encode_graph_body(std::vector<std::uint8_t>& out, const Digraph& g) {
+  encode_bitmap(out, g.nodes());
+  for (ProcId q = 0; q < g.n(); ++q) {
+    encode_bitmap(out, g.out_neighbors(q));
+  }
+}
+
+[[nodiscard]] bool decode_graph_body(ByteReader& reader, ProcId n,
+                                     Digraph& out) {
+  ProcSet nodes(n);
+  if (!decode_bitmap(reader, n, nodes, "node bitmap")) return false;
+  Digraph g(n);
+  // Restrict node presence first, then add edges; a row referencing a
+  // node outside the bitmap (Digraph::add_edge would silently re-add
+  // it) is hostile input, not a graph.
+  g = g.induced(nodes);
+  ProcSet row(n);
+  for (ProcId q = 0; q < n; ++q) {
+    if (!decode_bitmap(reader, n, row, "out-row bitmap")) return false;
+    if (!row.is_subset_of(nodes) || (!row.empty() && !nodes.contains(q))) {
+      return reader.fail(DecodeStatus::kInvalidEdge, "out-row bitmap");
+    }
+    for (ProcId p : row) g.add_edge(q, p);
+  }
+  out = std::move(g);
   return true;
 }
 
@@ -165,11 +235,12 @@ DecodeResult<RunCapture> decode_trace(const std::vector<std::uint8_t>& bytes) {
     // Parse the payload through a sub-reader confined to the declared
     // length; a frame whose fields consume more or less than `length`
     // is malformed.
+    const std::size_t payload_start = reader.pos();
     ByteReader frame(reader.cursor(), static_cast<std::size_t>(length));
     reader.skip(static_cast<std::size_t>(length));
     const auto frame_error = [&](const DecodeError& err) {
       // Re-anchor sub-reader offsets to the whole input.
-      return DecodeError{err.status, frame_start + 1 + err.offset, err.field};
+      return DecodeError{err.status, payload_start + err.offset, err.field};
     };
     const auto type = static_cast<TraceFrame>(type_byte);
     if (type != TraceFrame::kHeader && !have_header) {
@@ -186,8 +257,8 @@ DecodeResult<RunCapture> decode_trace(const std::vector<std::uint8_t>& bytes) {
           return frame_error(frame.error());
         }
         if (n_wide == 0) {
-          return frame_error(DecodeError{DecodeStatus::kValueOutOfRange,
-                                         frame.pos(), "header n"});
+          return frame_error(
+              DecodeError{DecodeStatus::kValueOutOfRange, 0, "header n"});
         }
         std::uint64_t source = 0;
         if (!frame.read_varint_max(

@@ -4,12 +4,14 @@
 // The paper's runs *are* their communication-graph sequences, so a
 // captured trace is a perfect deterministic adversary: any bench
 // outlier or CI failure replays bit-exactly by feeding the captured
-// graphs back through a ReplaySource. The capture format here goes
-// beyond graph sequences to full run evidence — per-round derived
-// graphs, per-round accounting, encoded message bytes, and the
-// delivery/close schedule of the network substrate — in a versioned,
-// pcap-like frame stream (1-byte type + varint length per frame; see
-// DESIGN.md §14) whose decoder treats its input as hostile.
+// graphs back through a ScheduleSource (the prefix, then the last
+// graph forever). The capture format here goes beyond graph sequences
+// to full run evidence — per-round derived graphs, per-round
+// accounting, encoded message bytes, and the delivery/close schedule
+// of the network substrate — in a versioned, pcap-like frame stream
+// (1-byte type + varint length per frame; see DESIGN.md §14) whose
+// decoder treats its input as hostile. It is the one capture format:
+// simulator runs and network runs alike are written as SSKT.
 #pragma once
 
 #include <algorithm>

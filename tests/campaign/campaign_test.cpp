@@ -20,7 +20,7 @@
 #include "adversary/partition.hpp"
 #include "campaign/spec.hpp"
 #include "kset/runner.hpp"
-#include "rounds/record.hpp"
+#include "rounds/graph_source.hpp"
 #include "rounds/trace.hpp"
 #include "util/rng.hpp"
 
@@ -417,7 +417,7 @@ TEST(CampaignTest, ViolatingTrialsSelfArchiveAndReplayBitExact) {
     const std::uint64_t seed = mix_seed(11, index);
     EXPECT_EQ(capture.value().header.seed, seed);
 
-    ReplaySource replay(capture.value().graphs);
+    ScheduleSource replay(capture.value().graphs);
     const KSetRunReport replayed = run_kset(replay, spec.config);
 
     const auto direct =

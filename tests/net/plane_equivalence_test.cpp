@@ -1,16 +1,18 @@
 // The bit-equality tripwire for the message plane (DESIGN.md §12):
-// the same seeded run through the legacy event-queue path and the
-// ring plane must produce identical KSetRunReports — same decisions,
-// same derived skeletons, same message accounting, same simulated
-// clock — under clean networks, lossy/flaky networks with late
-// arrivals, deadline ties, and ring backpressure alike. Only the
-// plane-mechanics counters (credit_stalls, ring_frags) may differ.
+// the same seeded run through the ring-plane NetRoundDriver and the
+// event-queue oracle must produce identical KSetRunReports — same
+// decisions, same derived skeletons, same message accounting, same
+// simulated clock — under clean networks, lossy/flaky networks with
+// late arrivals, deadline ties, and ring backpressure alike. The
+// plane-mechanics counters (credit_stalls, ring_frags) exist only on
+// the ring side.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "net/kset_net.hpp"
+#include "oracles/event_queue_driver.hpp"
 
 namespace sskel {
 namespace {
@@ -50,14 +52,27 @@ void expect_reports_equal(const NetKSetReport& ring,
   EXPECT_EQ(ring.late_messages, eq.late_messages);
   EXPECT_EQ(ring.lost_messages, eq.lost_messages);
   EXPECT_EQ(ring.wall_clock, eq.wall_clock);
-  // credit_stalls / ring_frags are plane mechanics, free to differ.
+  // credit_stalls / ring_frags are ring mechanics; the oracle has none.
 }
 
-NetKSetReport run_on_plane(const LinkMatrix& links, NetKSetConfig config,
-                           NetPlane plane, std::size_t ring_depth = 0) {
-  config.net.plane = plane;
+NetKSetReport run_on_ring(const LinkMatrix& links, NetKSetConfig config,
+                          std::size_t ring_depth = 0) {
   config.net.ring_depth = ring_depth;
   return run_kset_over_network(links, config);
+}
+
+/// run_kset_over_network with the event-queue oracle as the engine.
+NetKSetReport run_on_oracle(const LinkMatrix& links,
+                            const NetKSetConfig& config) {
+  oracles::EventQueueDriver<SkeletonMessage> driver(
+      config.net, links, make_kset_processes(links.n(), config.run));
+  NetKSetReport report;
+  report.kset = run_kset_on_engine(driver, config.run);
+  report.delivered_messages = driver.delivered_messages();
+  report.late_messages = driver.late_messages();
+  report.lost_messages = driver.lost_messages();
+  report.wall_clock = driver.now();
+  return report;
 }
 
 TEST(PlaneEquivalenceTest, CleanTimelyNetworkWithSkews) {
@@ -72,8 +87,8 @@ TEST(PlaneEquivalenceTest, CleanTimelyNetworkWithSkews) {
     config.net.skews.push_back((static_cast<SimTime>(p) * 137) % 900);
   }
   const LinkMatrix links = LinkMatrix::all_timely(n, 50, 400);
-  expect_reports_equal(run_on_plane(links, config, NetPlane::kRing),
-                       run_on_plane(links, config, NetPlane::kEventQueue));
+  expect_reports_equal(run_on_ring(links, config),
+                       run_on_oracle(links, config));
 }
 
 TEST(PlaneEquivalenceTest, FlakyLossyNetworkWithLateArrivals) {
@@ -94,9 +109,8 @@ TEST(PlaneEquivalenceTest, FlakyLossyNetworkWithLateArrivals) {
   LinkMatrix links = LinkMatrix::all_flaky(n, 0.5);
   links.upgrade_to_timely(stable, 100, 600);
 
-  const NetKSetReport ring = run_on_plane(links, config, NetPlane::kRing);
-  const NetKSetReport eq =
-      run_on_plane(links, config, NetPlane::kEventQueue);
+  const NetKSetReport ring = run_on_ring(links, config);
+  const NetKSetReport eq = run_on_oracle(links, config);
   expect_reports_equal(ring, eq);
   // The scenario must actually exercise the late/lost paths, or this
   // tripwire silently loses its teeth.
@@ -115,9 +129,8 @@ TEST(PlaneEquivalenceTest, DeadlineTiesResolveIdentically) {
   config.net.round_duration = 1000;
   config.net.seed = 0x5EED03;
   const LinkMatrix links = LinkMatrix::all_timely(n, 1000, 1000);
-  const NetKSetReport ring = run_on_plane(links, config, NetPlane::kRing);
-  const NetKSetReport eq =
-      run_on_plane(links, config, NetPlane::kEventQueue);
+  const NetKSetReport ring = run_on_ring(links, config);
+  const NetKSetReport eq = run_on_oracle(links, config);
   expect_reports_equal(ring, eq);
 }
 
@@ -133,8 +146,8 @@ TEST(PlaneEquivalenceTest, TiedDeadlinesWithSkewedClocks) {
   config.net.seed = 0x5EED04;
   config.net.skews = {0, 300, 0, 300, 600};
   const LinkMatrix links = LinkMatrix::all_timely(n, 1000, 1000);
-  expect_reports_equal(run_on_plane(links, config, NetPlane::kRing),
-                       run_on_plane(links, config, NetPlane::kEventQueue));
+  expect_reports_equal(run_on_ring(links, config),
+                       run_on_oracle(links, config));
 }
 
 TEST(PlaneEquivalenceTest, TinyRingDepthBackpressureChangesNothing) {
@@ -151,12 +164,10 @@ TEST(PlaneEquivalenceTest, TinyRingDepthBackpressureChangesNothing) {
   // Depth 4 against n-1 = 7 inbound publishes per round: early drains
   // must fire, and the report must not move an inch.
   const NetKSetReport ring =
-      run_on_plane(links, config, NetPlane::kRing, /*ring_depth=*/4);
-  const NetKSetReport eq =
-      run_on_plane(links, config, NetPlane::kEventQueue);
+      run_on_ring(links, config, /*ring_depth=*/4);
+  const NetKSetReport eq = run_on_oracle(links, config);
   expect_reports_equal(ring, eq);
   EXPECT_GT(ring.credit_stalls, 0);
-  EXPECT_EQ(eq.credit_stalls, 0);
 }
 
 TEST(PlaneEquivalenceTest, RingFragCountMatchesDeliveries) {
@@ -167,12 +178,9 @@ TEST(PlaneEquivalenceTest, RingFragCountMatchesDeliveries) {
   config.run.k = 1;
   config.net.seed = 0x5EED06;
   const LinkMatrix links = LinkMatrix::all_timely(n, 100, 800);
-  const NetKSetReport ring = run_on_plane(links, config, NetPlane::kRing);
+  const NetKSetReport ring = run_on_ring(links, config);
   EXPECT_GE(ring.ring_frags, ring.delivered_messages);
-  const NetKSetReport eq =
-      run_on_plane(links, config, NetPlane::kEventQueue);
-  EXPECT_EQ(eq.ring_frags, 0);
-  expect_reports_equal(ring, eq);
+  expect_reports_equal(ring, run_on_oracle(links, config));
 }
 
 }  // namespace

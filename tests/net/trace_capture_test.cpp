@@ -1,12 +1,12 @@
 // Full-run capture on the network substrate (DESIGN.md §14).
 //
 // Three properties anchor the record/replay workflow:
-//  1. The two message planes produce *identical* captures — not just
-//     identical reports: same broadcasts, same delivery fates in the
-//     same schedule order, same closes. The ring plane earns this by
-//     scheduling one stand-in trace event per on-time/tie message at
-//     its arrival instant, mirroring the event-queue plane's
-//     per-delivery events.
+//  1. The ring-plane driver and the event-queue oracle produce
+//     *identical* captures — not just identical reports: same
+//     broadcasts, same delivery fates in the same schedule order, same
+//     closes. The driver earns this by scheduling one stand-in trace
+//     event per on-time/tie message at its arrival instant, mirroring
+//     the oracle's per-delivery events.
 //  2. A net capture replays bit-exactly through the Simulator: the
 //     derived graphs are a perfect deterministic adversary.
 //  3. The capture round-trips through the framed codec.
@@ -16,7 +16,8 @@
 
 #include "kset/message.hpp"
 #include "net/kset_net.hpp"
-#include "rounds/record.hpp"
+#include "oracles/event_queue_driver.hpp"
+#include "rounds/graph_source.hpp"
 #include "rounds/trace.hpp"
 
 namespace sskel {
@@ -27,13 +28,14 @@ struct CapturedRun {
   RunCapture capture;
 };
 
-CapturedRun run_with_capture(const LinkMatrix& links, NetKSetConfig config,
-                             NetPlane plane, std::size_t ring_depth = 0) {
-  config.net.plane = plane;
-  config.net.ring_depth = ring_depth;
+using RingDriver = NetRoundDriver<SkeletonMessage>;
+using OracleDriver = oracles::EventQueueDriver<SkeletonMessage>;
+
+template <typename Driver>
+CapturedRun run_with_capture(const LinkMatrix& links,
+                             const NetKSetConfig& config) {
   const ProcId n = links.n();
-  NetRoundDriver<SkeletonMessage> driver(
-      config.net, links, make_kset_processes(n, config.run));
+  Driver driver(config.net, links, make_kset_processes(n, config.run));
   TraceRecorder recorder(n, driver.trace_source(), config.net.seed,
                          config.net.round_duration);
   driver.set_trace_sink(&recorder, [](const SkeletonMessage& m,
@@ -100,10 +102,8 @@ TEST(TraceCaptureTest, PlanesProduceIdenticalCaptures) {
   const NetKSetConfig config = flaky_config(n);
   const LinkMatrix links = flaky_links(n);
 
-  const CapturedRun ring =
-      run_with_capture(links, config, NetPlane::kRing);
-  const CapturedRun eq =
-      run_with_capture(links, config, NetPlane::kEventQueue);
+  const CapturedRun ring = run_with_capture<RingDriver>(links, config);
+  const CapturedRun eq = run_with_capture<OracleDriver>(links, config);
 
   // Identical except for the self-describing source tag.
   EXPECT_EQ(ring.capture.header.source, TraceSource::kNetRing);
@@ -145,10 +145,8 @@ TEST(TraceCaptureTest, DeadlineTieCapturesAgreeAcrossPlanes) {
   config.net.seed = 0x7EACE02;
   const LinkMatrix links = LinkMatrix::all_timely(n, 1000, 1000);
 
-  const CapturedRun ring =
-      run_with_capture(links, config, NetPlane::kRing);
-  const CapturedRun eq =
-      run_with_capture(links, config, NetPlane::kEventQueue);
+  const CapturedRun ring = run_with_capture<RingDriver>(links, config);
+  const CapturedRun eq = run_with_capture<OracleDriver>(links, config);
 
   RunCapture ring_rebased = ring.capture;
   ring_rebased.header.source = TraceSource::kNetEventQueue;
@@ -172,11 +170,12 @@ TEST(TraceCaptureTest, NetCaptureReplaysBitExactOnSimulator) {
   NetKSetConfig config = flaky_config(n);
   config.run.measure_bytes = false;
 
-  for (const NetPlane plane : {NetPlane::kRing, NetPlane::kEventQueue}) {
-    const CapturedRun net = run_with_capture(flaky_links(n), config, plane);
+  for (const CapturedRun& net :
+       {run_with_capture<RingDriver>(flaky_links(n), config),
+        run_with_capture<OracleDriver>(flaky_links(n), config)}) {
     ASSERT_FALSE(net.capture.graphs.empty());
 
-    ReplaySource replay(net.capture.graphs);
+    ScheduleSource replay(net.capture.graphs);
     const KSetRunReport replayed = run_kset(replay, config.run);
     expect_kset_reports_equal(replayed, net.report);
   }
@@ -184,8 +183,8 @@ TEST(TraceCaptureTest, NetCaptureReplaysBitExactOnSimulator) {
 
 TEST(TraceCaptureTest, NetCaptureRoundTripsThroughCodec) {
   const ProcId n = 5;
-  const CapturedRun run = run_with_capture(
-      flaky_links(n), flaky_config(n), NetPlane::kRing);
+  const CapturedRun run =
+      run_with_capture<RingDriver>(flaky_links(n), flaky_config(n));
   const std::vector<std::uint8_t> bytes = encode_trace(run.capture);
   DecodeResult<RunCapture> back = decode_trace(bytes);
   ASSERT_TRUE(back.ok()) << back.error().to_string();
