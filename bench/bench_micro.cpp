@@ -25,6 +25,7 @@
 #include "skeleton/intern.hpp"
 #include "kset/runner.hpp"
 #include "kset/skeleton_kset.hpp"
+#include "oracles/psrcs_bruteforce.hpp"
 #include "predicates/analysis.hpp"
 #include "predicates/psrcs.hpp"
 #include "rounds/simulator.hpp"
@@ -426,7 +427,8 @@ void BM_PsrcsExactPruned(benchmark::State& state) {
 }
 BENCHMARK(BM_PsrcsExactPruned)->Args({16, 3})->Args({20, 4})->Args({24, 3});
 
-/// The literal C(n, k+1) enumeration on the same instances.
+/// The literal C(n, k+1) enumeration (the test oracle) on the same
+/// instances.
 void BM_PsrcsBruteforce(benchmark::State& state) {
   const ProcId n = static_cast<ProcId>(state.range(0));
   const int k = static_cast<int>(state.range(1));
@@ -438,7 +440,7 @@ void BM_PsrcsBruteforce(benchmark::State& state) {
   const Digraph& skel = source.stable_skeleton();
   std::int64_t subsets = 0;
   for (auto _ : state) {
-    const PsrcsCheck check = check_psrcs_bruteforce(skel, k);
+    const PsrcsCheck check = oracles::check_psrcs_bruteforce(skel, k);
     subsets = check.subsets_checked;
     benchmark::DoNotOptimize(check.holds);
   }

@@ -25,6 +25,7 @@
 #include "graph/scc.hpp"
 #include "kset/runner.hpp"
 #include "mc/mc_plane.hpp"
+#include "oracles/psrcs_bruteforce.hpp"
 #include "predicates/psrcs.hpp"
 #include "skeleton/intern.hpp"
 #include "skeleton/tracker.hpp"
@@ -302,7 +303,7 @@ int main() {
     const PsrcsCheck pruned = check_psrcs_exact(skel, row.k);
     std::int64_t brute_subsets = -1;
     if (row.n <= 32) {
-      const PsrcsCheck brute = check_psrcs_bruteforce(skel, row.k);
+      const PsrcsCheck brute = oracles::check_psrcs_bruteforce(skel, row.k);
       brute_subsets = brute.subsets_checked;
       all_ok = all_ok && pruned.holds == brute.holds;
     }

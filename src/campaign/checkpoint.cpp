@@ -307,11 +307,12 @@ DecodeResult<CampaignCheckpoint> decode_checkpoint(
     }
     // Parse through a sub-reader confined to the declared length; a
     // frame whose fields consume more or fewer bytes is malformed.
+    const std::size_t payload_start = reader.pos();
     ByteReader frame(reader.cursor(), static_cast<std::size_t>(length));
     reader.skip(static_cast<std::size_t>(length));
     const auto frame_error = [&](const DecodeError& err) {
       // Re-anchor sub-reader offsets to the whole input.
-      return DecodeError{err.status, frame_start + 1 + err.offset, err.field};
+      return DecodeError{err.status, payload_start + err.offset, err.field};
     };
     const auto type = static_cast<CkptFrame>(type_byte);
     if (type != CkptFrame::kHeader && !have_header) {

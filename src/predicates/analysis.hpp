@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -22,93 +21,43 @@
 
 namespace sskel {
 
-/// Smallest k >= 1 such that Psrcs(k) holds on the skeleton, computed
-/// exactly (Psrcs is monotone in k, so this is the first passing k).
-/// Returns n-1 at worst (any skeleton with self-loops satisfies
-/// Psrcs(n-1): among n processes, at most n-1 can be pairwise
-/// "sourceless"... not in general — hence nullopt when even k = n-1
-/// fails). Exponential in the worst case; intended for n <= ~20.
+/// Smallest k in [1, n-1] for which Psrcs(k) holds on the skeleton, or
+/// nullopt when even Psrcs(n-1) fails (all n processes sourceless, as
+/// with self-loops only). Psrcs is monotone in k, so this is the first
+/// k that check_psrcs_exact accepts; like that checker it quantifies
+/// over every subset of Pi, absent nodes included. n < 2 gives 1: no
+/// 2-subsets exist. Exponential in the worst case; intended for
+/// n <= ~20.
 [[nodiscard]] std::optional<int> min_psrcs_k(const Digraph& skeleton);
-
-/// Size of the largest "sourceless" subset: a set S such that no
-/// process has edges to two distinct members of S. Psrcs(k) holds
-/// iff this value is <= k. Exact via depth-first search with
-/// feasibility pruning; exponential worst case, fine for n <= ~20.
-[[nodiscard]] int max_sourceless_subset(const Digraph& skeleton);
 
 /// Theorem 1 gap report for a skeleton: root components vs min-k.
 struct PredicateProfile {
   int root_components = 0;
-  int min_k = 0;            // smallest k with Psrcs(k), n-1+1 if none
+  int min_k = 0;            // smallest k with Psrcs(k), n if none
   bool theorem1_consistent = false;  // root_components <= min_k
 };
 
 [[nodiscard]] PredicateProfile profile_skeleton(const Digraph& skeleton);
 
-/// Variant for callers that already maintain the skeleton's root
-/// components (e.g. SkeletonTracker's incremental SCC analytics):
-/// takes the root-component count as given and skips the internal
-/// Tarjan pass, so profiling a tracked skeleton costs only the min-k
-/// search.
-[[nodiscard]] PredicateProfile profile_skeleton(const Digraph& skeleton,
-                                                int root_count);
-
-/// Change-driven predicate evaluation: caches Psrcs(k) verdicts and
-/// the Theorem-1 profile of a monitored skeleton, keyed on the
-/// SkeletonTracker's version stamp. Monotonicity (Lemma 1) makes the
-/// version a complete invalidation key, so per-round re-evaluation in
-/// the post-stabilization tail is a pointer return, not a subset
-/// search. Callers pass (skeleton, version) pairs from the same
-/// tracker; mixing trackers in one cache is a usage error.
+/// Change-driven predicate evaluation: caches Psrcs(k) verdicts of a
+/// monitored skeleton, keyed on the SkeletonTracker's version stamp.
+/// Monotonicity (Lemma 1) makes the version a complete invalidation
+/// key, so per-round re-evaluation in the post-stabilization tail is a
+/// pointer return, not a subset search. Callers pass (skeleton,
+/// version) pairs from the same tracker; mixing trackers in one cache
+/// is a usage error.
 class SkeletonPredicateCache {
  public:
-  /// Optional shared-resolution hook: when set, psrcs_exact() first
-  /// asks the provider for a verdict and only falls back to the local
-  /// per-(version, k) cache when the provider returns nullptr. The
-  /// run-scoped intern table (skeleton/intern.hpp,
-  /// make_interned_psrcs_provider) plugs in here so identical stable
-  /// skeletons across trials share one subset search; the predicates
-  /// layer itself stays ignorant of interning.
-  using SharedPsrcsProvider = std::function<const PsrcsCheck*(
-      const Digraph& skeleton, std::uint64_t version, int k)>;
-
-  void set_shared_provider(SharedPsrcsProvider provider) {
-    shared_provider_ = std::move(provider);
-  }
-
-  /// Verdicts served by the shared provider instead of a local search
-  /// or cache hit.
-  [[nodiscard]] std::int64_t shared_hits() const { return shared_hits_; }
-
   /// check_psrcs_exact(skeleton, k), recomputed only on version bumps.
   const PsrcsCheck& psrcs_exact(const Digraph& skeleton,
                                 std::uint64_t version, int k);
-
-  /// profile_skeleton(skeleton), recomputed only on version bumps.
-  const PredicateProfile& profile(const Digraph& skeleton,
-                                  std::uint64_t version);
-
-  /// Like profile(), but reuses the caller's already-maintained root
-  /// components (a SkeletonTracker's current_root_components()) so a
-  /// recompute runs no Tarjan of its own. Callers must pass roots that
-  /// belong to `skeleton` at `version`.
-  const PredicateProfile& profile_with_roots(
-      const Digraph& skeleton, std::uint64_t version,
-      const std::vector<ProcSet>& root_components);
 
   /// Total underlying Psrcs searches actually run, summed over all k
   /// (for the cache-invalidation property tests).
   [[nodiscard]] std::int64_t psrcs_recomputes() const;
 
-  [[nodiscard]] std::int64_t profile_recomputes() const {
-    return profile_.recomputes();
-  }
-
  private:
-  SharedPsrcsProvider shared_provider_;
-  std::int64_t shared_hits_ = 0;
   std::vector<std::pair<int, VersionedCache<PsrcsCheck>>> psrcs_by_k_;
-  VersionedCache<PredicateProfile> profile_;
 };
 
 }  // namespace sskel

@@ -122,23 +122,6 @@ PsrcsCheck check_psrcs_exact(const Digraph& skeleton, int k) {
   return result;
 }
 
-PsrcsCheck check_psrcs_bruteforce(const Digraph& skeleton, int k) {
-  SSKEL_REQUIRE(k >= 1);
-  PsrcsCheck result;
-  result.holds = true;
-  for_each_subset(ProcSet::full(skeleton.n()), k + 1,
-                  [&](const ProcSet& subset) {
-                    ++result.subsets_checked;
-                    if (!find_two_source(skeleton, subset)) {
-                      result.holds = false;
-                      result.violating_subset = subset;
-                      return false;  // stop at the first counterexample
-                    }
-                    return true;
-                  });
-  return result;
-}
-
 PsrcsCheck check_psrcs_sampled(const Digraph& skeleton, int k, int samples,
                                Rng& rng) {
   SSKEL_REQUIRE(k >= 1);

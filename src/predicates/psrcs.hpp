@@ -38,9 +38,10 @@ struct PsrcsCheck {
   bool holds = false;
   /// When violated: a (k+1)-subset with no 2-source.
   std::optional<ProcSet> violating_subset;
-  /// Number of subsets examined: full (k+1)-subsets for the
-  /// brute-force enumerator, sourceless partial subsets materialized
-  /// for the branch-and-bound procedure (cost diagnostics).
+  /// Number of subsets examined: sourceless partial subsets
+  /// materialized by the branch-and-bound procedure, full
+  /// (k+1)-subsets for the brute-force oracle in
+  /// tests/oracles/psrcs_bruteforce.hpp (cost diagnostics).
   std::int64_t subsets_checked = 0;
   /// True when the verdict is a proof: every verdict of the exact and
   /// brute-force checkers, and a sampled *violation* (the witness is
@@ -75,18 +76,12 @@ struct PsrcsCheck {
 ///     covered processes first), which finds violating subsets early;
 ///   * branches that cannot reach size k+1 are cut by a remaining-
 ///     candidates bound.
-/// Same contract and verdicts as check_psrcs_bruteforce, orders of
-/// magnitude fewer subsets visited on non-trivial instances; the
-/// violating witness may differ (any sourceless (k+1)-subset is a
-/// valid witness).
+/// Same contract and verdicts as the literal Eq. (8) enumeration over
+/// every (k+1)-subset of Pi (the oracle in
+/// tests/oracles/psrcs_bruteforce.hpp), orders of magnitude fewer
+/// subsets visited on non-trivial instances; the violating witness may
+/// differ (any sourceless (k+1)-subset is a valid witness).
 [[nodiscard]] PsrcsCheck check_psrcs_exact(const Digraph& skeleton, int k);
-
-/// The literal Eq. (8) enumeration over every (k+1)-subset of Pi.
-/// Cost C(n, k+1); kept as the reference oracle for randomized
-/// equivalence tests of check_psrcs_exact and for subset-count
-/// baselines in the benches. Intended for n <= ~24 or small k.
-[[nodiscard]] PsrcsCheck check_psrcs_bruteforce(const Digraph& skeleton,
-                                                int k);
 
 /// Randomized refutation search: samples `samples` subsets of size
 /// k+1 and reports a violation if one is found. Never proves the

@@ -15,7 +15,6 @@ InternStats& InternStats::operator+=(const InternStats& other) {
   entries += other.entries;
   scc_computes += other.scc_computes;
   keep_computes += other.keep_computes;
-  psrcs_computes += other.psrcs_computes;
   promotions += other.promotions;
   promotion_hits += other.promotion_hits;
   return *this;
@@ -164,16 +163,6 @@ bool InternedStructure::pruned_strongly_connected(ProcId owner) {
   return keep.count() == scc_.components[co].count();
 }
 
-const PsrcsCheck& InternedStructure::psrcs_exact(int k) {
-  for (const auto& [cached_k, check] : psrcs_by_k_) {
-    if (cached_k == k) return check;
-  }
-  ensure_graph();
-  psrcs_by_k_.emplace_back(k, check_psrcs_exact(graph_, k));
-  ++psrcs_computes_;
-  return psrcs_by_k_.back().second;
-}
-
 StructureInternTable::StructureInternTable(InternTableOptions options)
     : options_(options),
       bucket_mask_((std::size_t{1} << options.bucket_bits) - 1),
@@ -297,7 +286,6 @@ InternStats StructureInternTable::stats() const {
   for (const auto& entry : entries_) {
     total.scc_computes += entry->scc_computes();
     total.keep_computes += entry->keep_computes();
-    total.psrcs_computes += entry->psrcs_computes();
   }
   return total;
 }
@@ -353,26 +341,6 @@ InternStats InternDomain::merged_stats() const {
     total += table->stats();
   }
   return total;
-}
-
-SkeletonPredicateCache::SharedPsrcsProvider make_interned_psrcs_provider(
-    StructureInternTable& table) {
-  struct State {
-    bool valid = false;
-    std::uint64_t version = 0;
-    InternedStructure* entry = nullptr;
-  };
-  auto state = std::make_shared<State>();
-  return [&table, state](const Digraph& skeleton, std::uint64_t version,
-                         int k) -> const PsrcsCheck* {
-    if (!state->valid || state->version != version) {
-      state->entry = table.intern(skeleton);
-      state->version = version;
-      state->valid = true;
-    }
-    if (state->entry == nullptr) return nullptr;
-    return &state->entry->psrcs_exact(k);
-  };
 }
 
 }  // namespace sskel

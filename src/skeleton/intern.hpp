@@ -17,10 +17,10 @@
 // extra O(n^2/64) scan, never a wrong answer. Tables are single-
 // threaded by design; the Monte-Carlo path shards one table per worker
 // thread through InternDomain (no locks on the lookup path). A
-// read-mostly InternGlobalTier on top of the shards shares *analytics*
-// across workers: a shard that already paid for an SCC decomposition
-// or a Psrcs subset search promotes an immutable snapshot, and other
-// shards adopt it on their first miss instead of recomputing.
+// read-mostly InternGlobalTier on top of the shards shares SCC
+// analytics across workers: a shard that already paid for an SCC
+// decomposition promotes an immutable snapshot, and other shards adopt
+// it on their first miss instead of recomputing.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,6 @@
 #include "graph/digraph.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/scc.hpp"
-#include "predicates/analysis.hpp"
-#include "predicates/psrcs.hpp"
 #include "util/types.hpp"
 
 namespace sskel {
@@ -56,12 +54,11 @@ struct InternStats {
   std::int64_t overflow_rejects = 0;
   std::int64_t entries = 0;
   /// Analytics actually computed across all entries (each at most
-  /// once per entry/owner-component/k): the denominator that makes the
+  /// once per entry/owner-component): the denominator that makes the
   /// hit counters meaningful.
   std::int64_t scc_computes = 0;
   std::int64_t keep_computes = 0;
-  std::int64_t psrcs_computes = 0;
-  /// Cross-shard promotion (DESIGN.md §12): shard entries with
+  /// Cross-shard promotion (DESIGN.md §10): shard entries with
   /// materialized analytics accepted into the domain's global tier,
   /// and shard misses served by adopting a global snapshot instead of
   /// recomputing from scratch.
@@ -116,23 +113,13 @@ class InternedStructure {
   /// reach back. A cardinality compare therefore decides it.
   [[nodiscard]] bool pruned_strongly_connected(ProcId owner);
 
-  /// check_psrcs_exact(graph(), k), memoized per k. The reference is
-  /// invalidated by a later psrcs_exact call on this entry (vector
-  /// growth) — read it before re-querying.
-  [[nodiscard]] const PsrcsCheck& psrcs_exact(int k);
-
   [[nodiscard]] std::int64_t scc_computes() const { return scc_computes_; }
   [[nodiscard]] std::int64_t keep_computes() const { return keep_computes_; }
-  [[nodiscard]] std::int64_t psrcs_computes() const {
-    return psrcs_computes_;
-  }
 
   /// Whether this entry carries analytics worth sharing across shards
   /// (the global-tier promotion policy: structure alone is cheap to
-  /// rebuild; SCC decompositions and Psrcs verdicts are not).
-  [[nodiscard]] bool has_shared_analytics() const {
-    return scc_ready_ || !psrcs_by_k_.empty();
-  }
+  /// rebuild; an SCC decomposition is not).
+  [[nodiscard]] bool has_shared_analytics() const { return scc_ready_; }
 
   /// Zeroes the analytics-compute counters. Used on clones entering
   /// the global tier so adopted copies never double-count work that
@@ -140,7 +127,6 @@ class InternedStructure {
   void reset_compute_counters() {
     scc_computes_ = 0;
     keep_computes_ = 0;
-    psrcs_computes_ = 0;
   }
 
  private:
@@ -168,11 +154,9 @@ class InternedStructure {
   std::vector<ProcSet> reachers_;  // universe = component count
   std::vector<ProcSet> keep_by_comp_;
   std::vector<char> keep_ready_;
-  std::vector<std::pair<int, PsrcsCheck>> psrcs_by_k_;
 
   std::int64_t scc_computes_ = 0;
   std::int64_t keep_computes_ = 0;
-  std::int64_t psrcs_computes_ = 0;
 };
 
 struct InternTableOptions {
@@ -191,12 +175,12 @@ struct InternTableOptions {
   bool degrade_fingerprint_for_tests = false;
 };
 
-/// Read-mostly global tier over a domain's per-worker shards. A shard
-/// that materializes expensive analytics (SCC decomposition, Psrcs
-/// verdicts) *offers* an immutable snapshot of the entry here; a shard
-/// that misses on a structure first consults the tier and *adopts* the
-/// snapshot — analytics included — instead of recomputing from
-/// scratch. Entries are immutable once offered (shared_ptr<const>),
+/// Read-mostly global tier over a domain's per-worker shards. The tier
+/// promotes SCC analytics only: a shard that materializes an entry's
+/// SCC decomposition *offers* an immutable snapshot of the entry here;
+/// a shard that misses on a structure first consults the tier and
+/// *adopts* the snapshot — analytics included — instead of recomputing
+/// from scratch. Entries are immutable once offered (shared_ptr<const>),
 /// so readers only pay a shared lock plus a fingerprint scan; the
 /// exclusive lock is taken only on offers, which happen at most once
 /// per (shard, entry). First offer per fingerprint wins.
@@ -316,14 +300,5 @@ class InternDomain {
   std::vector<std::pair<std::thread::id, std::unique_ptr<StructureInternTable>>>
       shards_;
 };
-
-/// Adapts a shard into a SkeletonPredicateCache shared-resolution
-/// hook: the provider interns the monitored skeleton (re-fingerprinted
-/// only on version bumps, like the cache itself) and serves Psrcs(k)
-/// verdicts from the entry, so identical stable skeletons across
-/// trials share one subset search. Same single-tracker discipline as
-/// SkeletonPredicateCache; the table must outlive the provider.
-[[nodiscard]] SkeletonPredicateCache::SharedPsrcsProvider
-make_interned_psrcs_provider(StructureInternTable& table);
 
 }  // namespace sskel

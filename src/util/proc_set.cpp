@@ -1,7 +1,6 @@
 #include "util/proc_set.hpp"
 
 #include <atomic>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -856,33 +855,6 @@ void ProcSet::trim() {
   const unsigned rem = static_cast<unsigned>(n_) % kBits;
   if (rem != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << rem) - 1;
-  }
-}
-
-bool for_each_subset(const ProcSet& universe_members, int k,
-                     const std::function<bool(const ProcSet&)>& fn) {
-  SSKEL_REQUIRE(k >= 0);
-  const std::vector<ProcId> members = universe_members.to_vector();
-  const int m = static_cast<int>(members.size());
-  if (k > m) return true;  // no subsets to visit
-
-  // Standard lexicographic k-combination walk over the member list.
-  std::vector<int> idx(static_cast<std::size_t>(k));
-  std::iota(idx.begin(), idx.end(), 0);
-  while (true) {
-    ProcSet subset(universe_members.universe());
-    for (int i : idx) subset.insert(members[static_cast<std::size_t>(i)]);
-    if (!fn(subset)) return false;
-
-    // Advance to the next combination.
-    int i = k - 1;
-    while (i >= 0 && idx[static_cast<std::size_t>(i)] == m - k + i) --i;
-    if (i < 0) return true;
-    ++idx[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < k; ++j) {
-      idx[static_cast<std::size_t>(j)] =
-          idx[static_cast<std::size_t>(j - 1)] + 1;
-    }
   }
 }
 

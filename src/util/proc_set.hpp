@@ -47,7 +47,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -456,13 +455,5 @@ class ScopedTierPolicy {
  private:
   ProcSet::TierPolicy previous_;
 };
-
-/// Enumerates all subsets of `universe_members` with exactly `k`
-/// elements, invoking `fn(const ProcSet&)` for each. Used by the exact
-/// Psrcs(k) checker; intended for small k and n (cost is C(n, k)).
-/// `fn` returning false aborts the enumeration early; the function
-/// returns false in that case, true when all subsets were visited.
-bool for_each_subset(const ProcSet& universe_members, int k,
-                     const std::function<bool(const ProcSet&)>& fn);
 
 }  // namespace sskel

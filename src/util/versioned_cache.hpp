@@ -53,38 +53,15 @@ class VersionedCache {
     return value_;
   }
 
-  /// Number of times compute() actually ran. With no invalidations,
-  /// tests assert this equals the number of version bumps (plus one
-  /// for the initial fill); explicit invalidate() calls add one forced
-  /// recompute each, tracked separately by invalidations().
+  /// Number of times compute() or update() actually ran. Tests assert
+  /// this equals the number of version bumps (plus one for the
+  /// initial fill) when the cache is queried every round.
   [[nodiscard]] std::int64_t recomputes() const { return recomputes_; }
-
-  /// True when a value is stored for `version`.
-  [[nodiscard]] bool fresh(std::uint64_t version) const {
-    return valid_ && version_ == version;
-  }
-
-  /// Drops the stored value AND its version stamp: the next get() at
-  /// any version — including the one just invalidated — recomputes.
-  /// Resetting the stamp (rather than only clearing the valid flag)
-  /// keeps the stamp from resurrecting a stale value if a caller ever
-  /// grows a path that flips valid_ back on, and invalidations() lets
-  /// the "recomputes == bumps + 1" accounting stay exact:
-  /// recomputes == bumps + 1 + invalidations (when queried per bump).
-  void invalidate() {
-    valid_ = false;
-    version_ = 0;
-    ++invalidations_;
-  }
-
-  /// Number of explicit invalidate() calls.
-  [[nodiscard]] std::int64_t invalidations() const { return invalidations_; }
 
  private:
   bool valid_ = false;
   std::uint64_t version_ = 0;
   std::int64_t recomputes_ = 0;
-  std::int64_t invalidations_ = 0;
   T value_{};
 };
 

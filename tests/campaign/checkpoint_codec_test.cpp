@@ -187,6 +187,22 @@ TEST(CheckpointCodecTest, RunsTrialsFoldedMismatchRejected) {
   EXPECT_FALSE(decode_checkpoint(mutant).ok());
 }
 
+TEST(CheckpointCodecTest, FrameFieldErrorsPointAtTheField) {
+  // A header frame {type 1, length 4} whose job count, 2^16 + 1, is one
+  // above the cap. The offset must land on the job-count varint (byte
+  // 8), past the frame's type byte and its length varint.
+  const std::vector<std::uint8_t> bytes = {
+      'S', 'S', 'K', 'C', 1,   // magic, version
+      1, 4,                    // frame type kHeader, payload length
+      0,                       // spec fingerprint
+      0x81, 0x80, 0x04};       // job count 65537
+  const DecodeResult<CampaignCheckpoint> r = decode_checkpoint(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().status, DecodeStatus::kValueOutOfRange);
+  EXPECT_EQ(r.error().offset, 8u);
+  EXPECT_STREQ(r.error().field, "job count");
+}
+
 TEST(CheckpointCodecTest, Fnv1a64KnownVectors) {
   EXPECT_EQ(fnv1a64({}), 14695981039346656037ull);
   EXPECT_EQ(fnv1a64({'a'}), 0xaf63dc4c8601ec8cull);

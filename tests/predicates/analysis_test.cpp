@@ -1,5 +1,5 @@
-// Tests for the skeleton-analysis utilities (min Psrcs k, largest
-// sourceless subset, Theorem 1 profiles).
+// Tests for the skeleton-analysis utilities (min Psrcs k, Theorem 1
+// profiles).
 #include "predicates/analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -7,34 +7,11 @@
 #include "adversary/figure1.hpp"
 #include "adversary/impossibility.hpp"
 #include "graph/scc.hpp"
-#include "predicates/psrcs.hpp"
+#include "oracles/psrcs_bruteforce.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
 namespace {
-
-TEST(MaxSourcelessSubsetTest, SelfLoopsOnlyIsAllSourceless) {
-  // With only self-loops, |out(p) cap S| <= 1 for every p and any S.
-  EXPECT_EQ(max_sourceless_subset(Digraph::self_loops_only(5)), 5);
-}
-
-TEST(MaxSourcelessSubsetTest, StarCollapsesToPairBound) {
-  // Star 0 -> everyone (+self-loops): any two processes share source
-  // 0, so only singletons are sourceless.
-  Digraph g(6);
-  g.add_self_loops();
-  for (ProcId p = 0; p < 6; ++p) g.add_edge(0, p);
-  EXPECT_EQ(max_sourceless_subset(g), 1);
-}
-
-TEST(MaxSourcelessSubsetTest, ImpossibilityRunHasExactlyK) {
-  // L (k-1 loners) plus any one non-source process is sourceless; any
-  // k+1 processes include two followers of s.
-  for (int k = 2; k <= 5; ++k) {
-    EXPECT_EQ(max_sourceless_subset(impossibility_graph(8, k)), k)
-        << "k=" << k;
-  }
-}
 
 TEST(MinPsrcsKTest, AgreesWithExactChecker) {
   Rng rng(404);
@@ -47,14 +24,18 @@ TEST(MinPsrcsKTest, AgreesWithExactChecker) {
         if (q != p && rng.next_bool(0.3)) g.add_edge(q, p);
       }
     }
+    // The reference is the Eq. (8) enumeration, not the search that
+    // min_psrcs_k itself runs.
     const auto k = min_psrcs_k(g);
     if (!k.has_value()) {
-      EXPECT_FALSE(check_psrcs_exact(g, static_cast<int>(n) - 1).holds);
+      EXPECT_FALSE(
+          oracles::check_psrcs_bruteforce(g, static_cast<int>(n) - 1).holds);
       continue;
     }
-    EXPECT_TRUE(check_psrcs_exact(g, *k).holds) << "n=" << n;
+    EXPECT_TRUE(oracles::check_psrcs_bruteforce(g, *k).holds) << "n=" << n;
     if (*k > 1) {
-      EXPECT_FALSE(check_psrcs_exact(g, *k - 1).holds) << "n=" << n;
+      EXPECT_FALSE(oracles::check_psrcs_bruteforce(g, *k - 1).holds)
+          << "n=" << n;
     }
   }
 }
@@ -65,7 +46,29 @@ TEST(MinPsrcsKTest, KnownSkeletons) {
   star.add_self_loops();
   for (ProcId p = 0; p < 5; ++p) star.add_edge(2, p);
   EXPECT_EQ(min_psrcs_k(star), 1);
+  // With only self-loops all n processes are sourceless: every k < n
+  // fails.
   EXPECT_EQ(min_psrcs_k(Digraph::self_loops_only(4)), std::nullopt);
+  EXPECT_EQ(min_psrcs_k(Digraph::self_loops_only(5)), std::nullopt);
+  // Star 0 -> everyone (+self-loops): any two processes share source 0.
+  Digraph star6(6);
+  star6.add_self_loops();
+  for (ProcId p = 0; p < 6; ++p) star6.add_edge(0, p);
+  EXPECT_EQ(min_psrcs_k(star6), 1);
+  // Theorem 2's run: the k-1 loners plus one follower of s are
+  // sourceless, and any k+1 processes include two followers of s.
+  for (int k = 2; k <= 5; ++k) {
+    EXPECT_EQ(min_psrcs_k(impossibility_graph(8, k)), k) << "k=" << k;
+  }
+  // Eq. (8) ranges over Pi, absent nodes included: process 2 left the
+  // skeleton, so it has no 2-source with anyone and Psrcs(1) fails on
+  // {0, 2}; all three together share source 0.
+  Digraph absent(3);
+  absent.add_self_loops();
+  absent.add_edge(0, 1);
+  absent.add_edge(1, 0);
+  absent.remove_node(2);
+  EXPECT_EQ(min_psrcs_k(absent), 2);
 }
 
 TEST(ProfileTest, Theorem1ConsistencyOnRandomSkeletons) {

@@ -1,13 +1,15 @@
 // Randomized equivalence of the branch-and-bound Psrcs(k) decision
-// procedure against the brute-force C(n, k+1) enumeration: identical
-// verdicts on every instance (random digraphs with n <= 12 over all
-// k, the Theorem 2 impossibility graphs, and random Psrcs adversary
-// skeletons), with strictly fewer subsets visited on the designated
-// non-trivial instances.
+// procedure against the brute-force C(n, k+1) enumeration
+// (tests/oracles/psrcs_bruteforce.hpp): identical verdicts on every
+// instance (random digraphs with n <= 12 over all k, with and without
+// absent nodes, the Theorem 2 impossibility graphs, and random Psrcs
+// adversary skeletons), with strictly fewer subsets visited on the
+// designated non-trivial instances.
 #include <gtest/gtest.h>
 
 #include "adversary/impossibility.hpp"
 #include "adversary/random_psrcs.hpp"
+#include "oracles/psrcs_bruteforce.hpp"
 #include "predicates/psrcs.hpp"
 #include "util/rng.hpp"
 
@@ -29,7 +31,7 @@ Digraph random_digraph(ProcId n, double density, Rng& rng) {
 /// subset must be a genuine counterexample: k+1 members, no 2-source.
 void expect_equivalent(const Digraph& g, int k) {
   const PsrcsCheck pruned = check_psrcs_exact(g, k);
-  const PsrcsCheck brute = check_psrcs_bruteforce(g, k);
+  const PsrcsCheck brute = oracles::check_psrcs_bruteforce(g, k);
   ASSERT_EQ(pruned.holds, brute.holds)
       << "n=" << g.n() << " k=" << k << " graph=" << g.to_string();
   if (!pruned.holds) {
@@ -41,10 +43,22 @@ void expect_equivalent(const Digraph& g, int k) {
 
 TEST(PsrcsEquivalence, RandomDigraphsAllK) {
   Rng rng(0x5EED);
+  Rng absent_rng(0xAB5E);
   for (int trial = 0; trial < 60; ++trial) {
     const ProcId n = static_cast<ProcId>(3 + rng.next_below(10));  // 3..12
     const double density = 0.05 + 0.9 * rng.next_double();
-    const Digraph g = random_digraph(n, density, rng);
+    Digraph g = random_digraph(n, density, rng);
+    for (int k = 1; k < n; ++k) expect_equivalent(g, k);
+    // The same skeleton after it lost 1..n-1 processes. Eq. (8) still
+    // ranges over all of Pi, and an absent process hears nobody, so it
+    // forms a sourceless pair with every other process: both checkers
+    // must count it.
+    const ProcId absent = static_cast<ProcId>(
+        1 + absent_rng.next_below(static_cast<std::uint64_t>(n - 1)));
+    while (n - g.nodes().count() < absent) {
+      g.remove_node(static_cast<ProcId>(
+          absent_rng.next_below(static_cast<std::uint64_t>(n))));
+    }
     for (int k = 1; k < n; ++k) expect_equivalent(g, k);
   }
 }
@@ -91,7 +105,7 @@ TEST(PsrcsEquivalence, StrictlyFewerSubsetsOnNonTrivialInstances) {
     RandomPsrcsSource source(0xBB, params);
     const Digraph& skel = source.stable_skeleton();
     const PsrcsCheck pruned = check_psrcs_exact(skel, inst.k);
-    const PsrcsCheck brute = check_psrcs_bruteforce(skel, inst.k);
+    const PsrcsCheck brute = oracles::check_psrcs_bruteforce(skel, inst.k);
     ASSERT_TRUE(pruned.holds);
     ASSERT_TRUE(brute.holds);
     EXPECT_LT(pruned.subsets_checked, brute.subsets_checked)

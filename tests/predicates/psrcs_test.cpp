@@ -12,6 +12,7 @@
 #include "adversary/impossibility.hpp"
 #include "adversary/random_psrcs.hpp"
 #include "oracles/hub_cover.hpp"
+#include "oracles/psrcs_bruteforce.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -54,7 +55,7 @@ TEST(CheckPsrcsExactTest, StarSatisfiesPsrcs1) {
   EXPECT_TRUE(check.holds);
   // The brute-force oracle enumerates every pair; the exact checker
   // only materializes sourceless partial subsets.
-  const PsrcsCheck brute = check_psrcs_bruteforce(g, 1);
+  const PsrcsCheck brute = oracles::check_psrcs_bruteforce(g, 1);
   EXPECT_TRUE(brute.holds);
   EXPECT_EQ(brute.subsets_checked, 15);  // C(6,2)
   EXPECT_LT(check.subsets_checked, brute.subsets_checked);
@@ -198,7 +199,7 @@ TEST(CheckPsrcsExactTest, VerdictsAreAlwaysCertified) {
     }
     for (const int k : {1, 2, 3}) {
       const PsrcsCheck exact = check_psrcs_exact(g, k);
-      const PsrcsCheck brute = check_psrcs_bruteforce(g, k);
+      const PsrcsCheck brute = oracles::check_psrcs_bruteforce(g, k);
       EXPECT_TRUE(exact.certified);
       EXPECT_EQ(exact.confidence, 1.0);
       EXPECT_TRUE(brute.certified);

@@ -190,27 +190,6 @@ TEST(AnalyticsCacheProperty, SparseQueriesBatchDeltasCorrectly) {
 
 // --- VersionedCache unit tests --------------------------------------------
 
-TEST(VersionedCacheTest, InvalidateResetsStampAndCounts) {
-  VersionedCache<int> cache;
-  int fills = 0;
-  const auto fill = [&] { return ++fills; };
-  EXPECT_EQ(cache.get(7, fill), 1);
-  EXPECT_EQ(cache.get(7, fill), 1);  // hit
-  EXPECT_TRUE(cache.fresh(7));
-  EXPECT_EQ(cache.invalidations(), 0);
-
-  cache.invalidate();
-  EXPECT_FALSE(cache.fresh(7));
-  EXPECT_FALSE(cache.fresh(0));  // the stamp is gone, not reset-to-valid
-  EXPECT_EQ(cache.invalidations(), 1);
-  // Re-querying the *same* version recomputes: the stale stamp no
-  // longer shadows the invalidation (the old bug kept version_ == 7
-  // around, so accounting drifted once callers re-validated).
-  EXPECT_EQ(cache.get(7, fill), 2);
-  EXPECT_EQ(cache.recomputes(), 2);
-  EXPECT_EQ(cache.invalidations(), 1);
-}
-
 TEST(VersionedCacheTest, RefreshUpdatesInPlace) {
   VersionedCache<std::vector<int>> cache;
   const auto append = [](std::vector<int>& v) { v.push_back(1); };
@@ -218,9 +197,6 @@ TEST(VersionedCacheTest, RefreshUpdatesInPlace) {
   EXPECT_EQ(cache.refresh(1, append).size(), 1u);  // hit: no update
   EXPECT_EQ(cache.refresh(2, append).size(), 2u);  // stale: in-place
   EXPECT_EQ(cache.recomputes(), 2);
-  cache.invalidate();
-  EXPECT_EQ(cache.refresh(2, append).size(), 3u);  // forced
-  EXPECT_EQ(cache.recomputes(), 3);
 }
 
 }  // namespace

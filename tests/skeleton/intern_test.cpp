@@ -23,8 +23,6 @@
 #include "graph/scc.hpp"
 #include "kset/runner.hpp"
 #include "kset/skeleton_kset.hpp"
-#include "predicates/analysis.hpp"
-#include "predicates/psrcs.hpp"
 #include "rounds/graph_source.hpp"
 #include "rounds/simulator.hpp"
 #include "skeleton/tracker.hpp"
@@ -72,22 +70,13 @@ void expect_entry_matches_fresh(InternedStructure& entry, const Digraph& g,
               is_strongly_connected(g.induced(keep)))
         << "owner=" << owner;
   }
-
-  for (int k = 1; k <= 3; ++k) {
-    const PsrcsCheck want = check_psrcs_exact(g, k);
-    const PsrcsCheck& got = entry.psrcs_exact(k);
-    EXPECT_EQ(got.holds, want.holds) << "k=" << k;
-    EXPECT_EQ(got.violating_subset, want.violating_subset) << "k=" << k;
-    EXPECT_EQ(got.subsets_checked, want.subsets_checked) << "k=" << k;
-    EXPECT_EQ(got.certified, want.certified) << "k=" << k;
-  }
 }
 
 // --- analytics consistency -------------------------------------------------
 
 TEST(InternTableTest, RandomizedConsistencyAgainstFreshComputation) {
   // 500 random structures across sizes: the shared analytics of each
-  // interned entry must be bit-equal to fresh scc/reach/psrcs runs.
+  // interned entry must be bit-equal to fresh scc/reach runs.
   StructureInternTable table;
   Rng rng(0x1234);
   const ProcId sizes[] = {3, 6, 10, 14};
@@ -115,18 +104,15 @@ TEST(InternTableTest, SameStructureResolvesToSameEntryAndComputesOnce) {
   ASSERT_NE(first, nullptr);
   (void)first->scc();
   (void)first->keep_set(0);
-  (void)first->psrcs_exact(1);
 
   const Digraph copy = g;
   InternedStructure* second = table.intern(copy);
   EXPECT_EQ(first, second);
   (void)second->scc();
   (void)second->keep_set(2);  // same component as owner 0: cached
-  (void)second->psrcs_exact(1);
 
   EXPECT_EQ(first->scc_computes(), 1);
   EXPECT_EQ(first->keep_computes(), 1);
-  EXPECT_EQ(first->psrcs_computes(), 1);
   const InternStats stats = table.stats();
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 1);
@@ -227,49 +213,6 @@ TEST(InternTableTest, OverflowReturnsNullAndKeepsExistingEntries) {
   EXPECT_EQ(table.intern(a), ea);
   EXPECT_EQ(table.intern(b), eb);
   EXPECT_EQ(table.entry_count(), 2u);
-}
-
-// --- shared Psrcs provider -------------------------------------------------
-
-TEST(InternProviderTest, ServesPsrcsVerdictsFromTheTable) {
-  StructureInternTable table;
-  SkeletonPredicateCache cache;
-  cache.set_shared_provider(make_interned_psrcs_provider(table));
-
-  Digraph g(6);
-  g.add_self_loops();
-  for (ProcId p = 0; p < 6; ++p) g.add_edge(p, (p + 1) % 6);
-
-  const PsrcsCheck want = check_psrcs_exact(g, 2);
-  const PsrcsCheck& got = cache.psrcs_exact(g, /*version=*/1, 2);
-  EXPECT_EQ(got.holds, want.holds);
-  EXPECT_EQ(got.subsets_checked, want.subsets_checked);
-  (void)cache.psrcs_exact(g, 1, 2);
-  EXPECT_EQ(cache.shared_hits(), 2);
-  EXPECT_EQ(table.stats().psrcs_computes, 1);
-
-  // Version bump with a changed skeleton: re-interned, still correct.
-  Digraph g2 = g;
-  g2.remove_edge(0, 1);
-  const PsrcsCheck want2 = check_psrcs_exact(g2, 2);
-  EXPECT_EQ(cache.psrcs_exact(g2, /*version=*/2, 2).holds, want2.holds);
-  EXPECT_EQ(cache.shared_hits(), 3);
-}
-
-TEST(InternProviderTest, FallsBackToLocalSearchWhenTableIsFull) {
-  InternTableOptions options;
-  options.max_entries = 0;  // every intern overflows
-  StructureInternTable table(options);
-  SkeletonPredicateCache cache;
-  cache.set_shared_provider(make_interned_psrcs_provider(table));
-
-  Digraph g(5);
-  g.add_self_loops();
-  for (ProcId p = 0; p < 5; ++p) g.add_edge(p, (p + 1) % 5);
-  const PsrcsCheck want = check_psrcs_exact(g, 1);
-  EXPECT_EQ(cache.psrcs_exact(g, 1, 1).holds, want.holds);
-  EXPECT_EQ(cache.shared_hits(), 0);  // provider declined; local path ran
-  EXPECT_GT(cache.psrcs_recomputes(), 0);
 }
 
 // --- tracker integration ---------------------------------------------------
@@ -432,7 +375,7 @@ TEST(InternDomainTest, ShardsArePerThreadAndStatsMerge) {
 }
 
 TEST(InternTierTest, PromotionSharesAnalyticsAcrossShards) {
-  // Cross-shard promotion (DESIGN.md §12): a shard that materialized
+  // Cross-shard promotion (DESIGN.md §10): a shard that materialized
   // expensive analytics offers a snapshot on its next hit; another
   // shard's first miss adopts the snapshot instead of recomputing.
   InternGlobalTier tier;

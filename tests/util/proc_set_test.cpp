@@ -5,6 +5,10 @@
 
 #include <set>
 
+// The k-subset enumerator lives with the brute-force Psrcs(k) oracle,
+// its only user.
+#include "oracles/psrcs_bruteforce.hpp"
+
 namespace sskel {
 namespace {
 
@@ -132,7 +136,7 @@ TEST(ForEachSubsetTest, EnumeratesAllCombinations) {
   const ProcSet universe = ProcSet::full(6);
   int count = 0;
   std::set<std::uint64_t> distinct;
-  for_each_subset(universe, 3, [&](const ProcSet& s) {
+  oracles::for_each_subset(universe, 3, [&](const ProcSet& s) {
     EXPECT_EQ(s.count(), 3);
     distinct.insert(s.hash());
     ++count;
@@ -145,7 +149,7 @@ TEST(ForEachSubsetTest, EnumeratesAllCombinations) {
 TEST(ForEachSubsetTest, RespectsRestrictedUniverseMembers) {
   const ProcSet members = ProcSet::of(10, {2, 4, 6, 8});
   int count = 0;
-  for_each_subset(members, 2, [&](const ProcSet& s) {
+  oracles::for_each_subset(members, 2, [&](const ProcSet& s) {
     EXPECT_TRUE(s.is_subset_of(members));
     ++count;
     return true;
@@ -156,7 +160,7 @@ TEST(ForEachSubsetTest, RespectsRestrictedUniverseMembers) {
 TEST(ForEachSubsetTest, EarlyExit) {
   int count = 0;
   const bool completed =
-      for_each_subset(ProcSet::full(6), 2, [&](const ProcSet&) {
+      oracles::for_each_subset(ProcSet::full(6), 2, [&](const ProcSet&) {
         ++count;
         return count < 3;
       });
@@ -167,7 +171,7 @@ TEST(ForEachSubsetTest, EarlyExit) {
 TEST(ForEachSubsetTest, DegenerateSizes) {
   int count = 0;
   // k = 0: exactly one (empty) subset.
-  for_each_subset(ProcSet::full(4), 0, [&](const ProcSet& s) {
+  oracles::for_each_subset(ProcSet::full(4), 0, [&](const ProcSet& s) {
     EXPECT_TRUE(s.empty());
     ++count;
     return true;
@@ -175,10 +179,11 @@ TEST(ForEachSubsetTest, DegenerateSizes) {
   EXPECT_EQ(count, 1);
   // k > |members|: no subsets.
   count = 0;
-  EXPECT_TRUE(for_each_subset(ProcSet::full(3), 5, [&](const ProcSet&) {
-    ++count;
-    return true;
-  }));
+  EXPECT_TRUE(
+      oracles::for_each_subset(ProcSet::full(3), 5, [&](const ProcSet&) {
+        ++count;
+        return true;
+      }));
   EXPECT_EQ(count, 0);
 }
 

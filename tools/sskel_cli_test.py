@@ -83,6 +83,11 @@ class SskelCliTest(unittest.TestCase):
         dump = sskel("dump", "--file=" + self.capture)
         self.assertEqual(dump.returncode, 0, dump.stderr)
         self.assertIn("1 nodes", dump.stdout)
+        # Psrcs(k) ranges over every process, the absent one included:
+        # {0, 1} has no 2-source, so no k < n = 2 passes.
+        analyze = sskel("analyze", "--file=" + self.capture)
+        self.assertEqual(analyze.returncode, 0, analyze.stderr)
+        self.assertIn("Psrcs(k) fails for every k < n", analyze.stdout)
         replay = sskel("replay", "--file=" + self.capture)
         self.assertEqual(replay.returncode, 1)
         self.assertIn("lacks a process", replay.stderr)
