@@ -14,8 +14,8 @@
 #include <algorithm>
 #include <iostream>
 
+#include "ablation.hpp"
 #include "adversary/random_psrcs.hpp"
-#include "kset/ablation.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -32,11 +32,16 @@
 // span/active quotient — measured ~9x and ~1.7x respectively; see
 // EXPERIMENTS.md for the curve.
 //
-// SSKEL_SMOKE=1 drops the n = 65,536 rows and shrinks the windows for
-// CI; SSKEL_BENCH_JSON overrides the BENCH_scale.json path. Peak
-// ProcSet bytes are recorded per arm (reset_peak_bytes before each),
-// so the memory side of the representation change is regression-
-// tracked alongside the timings.
+// A fourth table times Algorithm 1 itself: one run_kset on a
+// random-Psrcs source (k = 4, byte accounting off) per n in
+// {64, 128, 256, 512}, on the O(n)-state process (DESIGN.md §8.1).
+// Its gate is completion: every process decides, at most k values.
+//
+// SSKEL_SMOKE=1 drops the n = 65,536 rows, shrinks the windows and
+// runs Algorithm 1 at n in {8, 64} for CI; SSKEL_BENCH_JSON overrides
+// the BENCH_scale.json path. Peak ProcSet bytes are recorded per arm
+// (reset_peak_bytes before each), so the memory side of the
+// representation change is regression-tracked alongside the timings.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -45,8 +50,10 @@
 #include <string>
 #include <vector>
 
+#include "adversary/random_psrcs.hpp"
 #include "graph/digraph.hpp"
 #include "graph/scc.hpp"
+#include "kset/runner.hpp"
 #include "skeleton/tracker.hpp"
 #include "util/bench_json.hpp"
 #include "util/proc_set.hpp"
@@ -330,6 +337,47 @@ ScaleRun run_theorem1_scale(ProcId n, ProcId block) {
   return run;
 }
 
+// --- Algorithm 1 at scale -------------------------------------------------
+
+struct KSetScaleRun {
+  ProcId n = 0;
+  int k = 4;
+  Round rounds = 0;
+  Round last_decision = 0;
+  std::int64_t distinct_decisions = 0;
+  std::int64_t wall_ns = 0;
+  std::int64_t peak_bytes = 0;
+  bool ok = false;
+};
+
+/// One Algorithm 1 run on one thread: random Psrcs(4) with four root
+/// components, stabilizing at round 4 under 0.25 edge noise — the
+/// perfbench `consensus` trial shape — with byte accounting off.
+KSetScaleRun run_kset_scale(ProcId n) {
+  KSetScaleRun run;
+  run.n = n;
+  RandomPsrcsParams params;
+  params.n = n;
+  params.k = run.k;
+  params.root_components = run.k;
+  params.max_core_size = 4;
+  params.noise_probability = 0.25;
+  params.stabilization_round = 4;
+  RandomPsrcsSource source(0x5CA1E + static_cast<std::uint64_t>(n), params);
+  KSetRunConfig config;
+  config.k = run.k;
+  ProcSet::reset_peak_bytes();
+  const auto start = Clock::now();
+  const KSetRunReport report = run_kset(source, config);
+  run.wall_ns = ns_since(start);
+  run.peak_bytes = ProcSet::peak_bytes();
+  run.rounds = report.rounds_executed;
+  run.last_decision = report.last_decision_round;
+  run.distinct_decisions = report.distinct_values;
+  run.ok = report.all_decided && report.verdict.all_hold();
+  return run;
+}
+
 }  // namespace
 
 int main() {
@@ -496,6 +544,46 @@ int main() {
         .set("completed", static_cast<std::int64_t>(run.ok));
   }
   rtable.print(std::cout);
+
+  // --- Algorithm 1 at scale ----------------------------------------------
+  const std::vector<ProcId> kset_sizes =
+      smoke ? std::vector<ProcId>{8, 64}
+            : std::vector<ProcId>{64, 128, 256, 512};
+  Table ktable("Algorithm 1 at scale: run_kset, random Psrcs(4)",
+               {"n", "rounds", "last decision", "decisions", "wall ms",
+                "us/process-round", "peak MB", "ok"});
+  for (const ProcId n : kset_sizes) {
+    const KSetScaleRun run = run_kset_scale(n);
+    all_ok = all_ok && run.ok;
+    if (!run.ok) {
+      std::cerr << "kset scale run FAILED at n=" << n
+                << " (decisions=" << run.distinct_decisions << ")\n";
+    }
+    const std::int64_t process_rounds =
+        static_cast<std::int64_t>(run.n) * run.rounds;
+    const std::int64_t process_round_ns =
+        process_rounds > 0 ? run.wall_ns / process_rounds : 0;
+    ktable.add_row(
+        {cell(run.n), cell(static_cast<std::int64_t>(run.rounds)),
+         cell(static_cast<std::int64_t>(run.last_decision)),
+         cell(run.distinct_decisions),
+         cell(static_cast<double>(run.wall_ns) / 1e6, 1),
+         cell(static_cast<double>(process_round_ns) / 1e3, 2),
+         cell(static_cast<double>(run.peak_bytes) / (1024.0 * 1024.0), 1),
+         run.ok ? "yes" : "NO"});
+    json.add("kset_run")
+        .set("n", run.n)
+        .set("k", run.k)
+        .set("rounds", static_cast<std::int64_t>(run.rounds))
+        .set("last_decision_round",
+             static_cast<std::int64_t>(run.last_decision))
+        .set("distinct_decisions", run.distinct_decisions)
+        .set("wall_ns", run.wall_ns)
+        .set("process_round_ns", process_round_ns)
+        .set("peak_proc_set_bytes", run.peak_bytes)
+        .set("completed", static_cast<std::int64_t>(run.ok));
+  }
+  ktable.print(std::cout);
 
   const char* path_env = std::getenv("SSKEL_BENCH_JSON");
   const std::string path = path_env != nullptr ? path_env : "BENCH_scale.json";

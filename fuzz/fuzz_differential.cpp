@@ -9,14 +9,23 @@
 // way (encode → decode → ScheduleSource), so the fuzzer exercises the
 // full record/replay pipeline end to end. The recording side is
 // fuzz-chosen: the ring-plane driver or the event-queue oracle.
+//
+// The same capture then replays through the dense line-by-line
+// Algorithm 1 (tests/oracles/dense_kset.hpp) beside the production
+// O(n)-state process: every process's G_p, encoded message, PT,
+// estimate and decision must agree after every round, and the
+// outcomes must equal the network run's. This replay consumes no
+// input bytes, so existing corpora keep their meaning.
 #include <cstdint>
 #include <vector>
 
 #include "fuzz_input.hpp"
 #include "kset/message.hpp"
 #include "net/kset_net.hpp"
+#include "oracles/dense_kset.hpp"
 #include "oracles/event_queue_driver.hpp"
 #include "rounds/graph_source.hpp"
+#include "rounds/simulator.hpp"
 #include "rounds/trace.hpp"
 #include "util/assert.hpp"
 
@@ -126,5 +135,27 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   SSKEL_REQUIRE(sim.root_components_final == net.root_components_final);
   SSKEL_REQUIRE(sim.total_messages == net.total_messages);
   SSKEL_REQUIRE(sim.lemma_violations == net.lemma_violations);
+
+  // Compact vs dense, round by round, on the recorded graphs.
+  ScheduleSource compact_source(decoded.value().graphs);
+  ScheduleSource dense_source(decoded.value().graphs);
+  Simulator<SkeletonMessage> compact(compact_source,
+                                     make_kset_processes(n, config.run));
+  Simulator<oracles::DenseMessage> dense(
+      dense_source, oracles::make_dense_processes(n, config.run));
+  const auto rounds = static_cast<Round>(capture.graphs.size());
+  const oracles::LockstepResult lockstep =
+      oracles::run_lockstep(compact, dense, rounds);
+  SSKEL_REQUIRE(lockstep.mismatch.empty());
+  SSKEL_REQUIRE(lockstep.rounds == rounds);
+  for (ProcId p = 0; p < n; ++p) {
+    const auto& v =
+        dynamic_cast<const SkeletonKSetProcess&>(compact.process(p));
+    const Outcome& o = net.outcomes[static_cast<std::size_t>(p)];
+    SSKEL_REQUIRE(v.decided() == o.decided);
+    SSKEL_REQUIRE(!v.decided() || (v.decision() == o.decision &&
+                                   v.decision_round() == o.decision_round));
+    SSKEL_REQUIRE(v.decision_path() == net.paths[static_cast<std::size_t>(p)]);
+  }
   return 0;
 }

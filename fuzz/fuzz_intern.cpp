@@ -60,7 +60,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                            static_cast<Round>(1 + input.in_range(0, 200)));
         }
       }
-      SSKEL_REQUIRE(table.intern(labeled) == entry);
+      // Labels never enter the key: the labeled graph's node set and
+      // out-rows (the form Algorithm 1's processes intern) hit g's entry.
+      std::vector<ProcSet> rows;
+      for (ProcId q = 0; q < n; ++q) rows.push_back(labeled.out_edges(q));
+      SSKEL_REQUIRE(table.intern(labeled.nodes(), rows) == entry);
     }
 
     // Cross-check against every prior structure: entry identity iff

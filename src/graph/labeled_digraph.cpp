@@ -7,25 +7,6 @@
 
 namespace sskel {
 
-void GraphStructure::capture(const LabeledDigraph& g) {
-  const std::size_t n = static_cast<std::size_t>(g.n());
-  nodes_ = g.nodes();
-  if (rows_.size() != n) rows_.resize(n, ProcSet(g.n()));
-  for (ProcId q = 0; q < g.n(); ++q) {
-    rows_[static_cast<std::size_t>(q)] = g.out_edges(q);
-  }
-  valid_ = true;
-}
-
-bool GraphStructure::matches(const LabeledDigraph& g) const {
-  if (!valid_ || rows_.size() != static_cast<std::size_t>(g.n())) return false;
-  if (nodes_ != g.nodes()) return false;
-  for (ProcId q = 0; q < g.n(); ++q) {
-    if (rows_[static_cast<std::size_t>(q)] != g.out_edges(q)) return false;
-  }
-  return true;
-}
-
 LabeledDigraph::LabeledDigraph(ProcId n, ProcId owner)
     : n_(n),
       nodes_(n),
@@ -151,13 +132,6 @@ ProcSet LabeledDigraph::reaching_set(ProcId target) const {
 ProcSet LabeledDigraph::prune_not_reaching(ProcId owner) {
   SSKEL_REQUIRE(nodes_.contains(owner));
   ProcSet keep = reaching_set(owner);
-  restrict_to_reaching(keep, owner);
-  return keep;
-}
-
-void LabeledDigraph::restrict_to_reaching(const ProcSet& keep, ProcId owner) {
-  SSKEL_REQUIRE(nodes_.contains(owner));
-  SSKEL_REQUIRE(keep.contains(owner));
   for (ProcId q = 0; q < n_; ++q) {
     ProcSet& row = rows_[static_cast<std::size_t>(q)];
     if (row.empty()) continue;
@@ -174,7 +148,7 @@ void LabeledDigraph::restrict_to_reaching(const ProcSet& keep, ProcId owner) {
     }
   }
   nodes_ &= keep;
-  nodes_.insert(owner);
+  return keep;
 }
 
 std::int64_t LabeledDigraph::edge_count() const {

@@ -7,10 +7,17 @@
 // Lines 19-23 (keep the maximal label over all graphs received from
 // timely neighbors).
 //
+// No process holds one: Algorithm 1 keeps O(n) state and derives G_p
+// on demand (kset/message.hpp, DESIGN.md §8.1). This type is that
+// derived view — what the wire codec encodes, the lemma monitor
+// checks and the traces print — and the state of the dense reference
+// process in tests/oracles/dense_kset.hpp, whose merge/purge/prune
+// mutators below are the pseudocode's Lines 15-25 verbatim.
+//
 // Representation: a node-presence ProcSet plus an n x n label matrix
-// (label 0 = edge absent; valid labels are rounds >= 1). For the
-// n <= 512 scales of this library the dense matrix keeps the per-round
-// merge a tight O(n^2) loop with no allocation.
+// (label 0 = edge absent; valid labels are rounds >= 1), so one graph
+// costs n^2 labels: a view for tests and small-n tooling, not per-
+// round state at scale.
 #pragma once
 
 #include <string>
@@ -21,36 +28,6 @@
 #include "util/types.hpp"
 
 namespace sskel {
-
-class LabeledDigraph;
-
-/// Structural fingerprint of a LabeledDigraph: the node set plus the
-/// out-edge rows, labels ignored. Line-25 pruning and Line-28 strong
-/// connectivity depend only on this, so a process whose post-purge
-/// structure matches the previous round's snapshot can reuse both
-/// results instead of re-running the reachability fixpoints
-/// (DESIGN.md §8). capture() reuses its buffers, so the steady-state
-/// round cost is the O(n^2/64) word compare plus one copy.
-class GraphStructure {
- public:
-  /// Records the structure of `g`. O(n^2/64), no allocation after the
-  /// first call on graphs of the same n.
-  void capture(const LabeledDigraph& g);
-
-  /// True iff `g` has exactly the nodes and edges recorded by the
-  /// last capture(). False before any capture.
-  [[nodiscard]] bool matches(const LabeledDigraph& g) const;
-
-  /// Forgets the last capture — matches() is false until the next
-  /// capture() — while keeping the row buffers for reuse (trial
-  /// scratch reset).
-  void invalidate() { valid_ = false; }
-
- private:
-  bool valid_ = false;
-  ProcSet nodes_;
-  std::vector<ProcSet> rows_;
-};
 
 class LabeledDigraph {
  public:
@@ -97,16 +74,8 @@ class LabeledDigraph {
 
   /// Removes every node (except `owner`) from which `owner` is not
   /// reachable, with all incident edges (Line 25). Returns the kept
-  /// node set so callers can replay the prune on a structurally
-  /// identical graph via restrict_to_reaching.
+  /// node set.
   ProcSet prune_not_reaching(ProcId owner);
-
-  /// Applies a precomputed Line-25 keep-set: removes every node
-  /// outside `keep` (except `owner`) with its incident edges, without
-  /// running the reachability fixpoint. Only valid when `keep` is the
-  /// set prune_not_reaching(owner) would compute — i.e. when the
-  /// graph's structure matches the one that produced `keep`.
-  void restrict_to_reaching(const ProcSet& keep, ProcId owner);
 
   [[nodiscard]] std::int64_t edge_count() const;
 

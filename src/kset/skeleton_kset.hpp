@@ -1,8 +1,7 @@
 // Algorithm 1: approximating the stable skeleton graph and solving
 // k-set agreement with Psrcs(k).
 //
-// A faithful implementation of the paper's pseudocode. Per round r a
-// process p:
+// The paper's pseudocode, per round r at process p:
 //
 //   send:      (decide | prop, x_p, G_p)                    (L5-8)
 //   receive:   PT_p := PT_p cap senders                     (L9)
@@ -17,6 +16,23 @@
 //                if r > n and G_p strongly connected:       (L28)
 //                  decide x_p                               (L29-30)
 //
+// Lines 15-25 run on O(n) state instead of an n x n label matrix
+// (DESIGN.md §8.1). Every label of G_p is min(λ_p(q), t(q', q)), where
+// λ_p(q) is the latest round of q's state that reached p and t(q', q)
+// the last round with q' in PT_q, so p keeps only λ_p, its node set
+// N_p and its own Line-9 history t(·, p):
+//
+//   λ_p(p) := r; λ_p(q) := max of λ_s(q) over s in PT_p     (L16-23)
+//   candidates := union of N_s over s in PT_p               (L18)
+//   (q' -> q) in G_p iff q' is a candidate and
+//     min(λ_p(q), t(q', q)) > max(r - n, 0)                 (L24)
+//   N_p := candidates reaching p over those edges           (L25)
+//
+// approximation() and the message codec derive the labeled G_p on
+// demand; the dense line-by-line process is the test oracle in
+// tests/oracles/dense_kset.hpp, and the tripwires hold the two equal
+// after every round.
+//
 // The one deliberately configurable point is the Line-28 round guard:
 // the pseudocode reads "r > n", while Lemma 11's termination bound
 // needs decisions as early as round n when the skeleton is stable from
@@ -25,6 +41,9 @@
 // is a constructor parameter with the literal pseudocode as default.
 // Tests exercise both.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "kset/message.hpp"
 #include "rounds/algorithm.hpp"
@@ -55,12 +74,12 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
                       DecisionGuard guard = DecisionGuard::kAfterRoundN);
 
   /// Restores the freshly-constructed state for a new trial with a
-  /// (possibly different) proposal, reusing the PT/G_p storage and the
-  /// structure-cache buffers instead of reallocating them. n, id and
-  /// guard are fixed; the intern table detaches (the next trial's
-  /// table may belong to a different run — call set_intern_table
-  /// again). The scheduler-equivalence tripwire
-  /// (tests/mc/mc_plane_test.cpp) pins reset == construct.
+  /// (possibly different) proposal, reusing the state and structure-
+  /// cache buffers instead of reallocating them. n, id and guard are
+  /// fixed; the intern table detaches (the next trial's table may
+  /// belong to a different run — call set_intern_table again). The
+  /// scheduler-equivalence tripwire (tests/mc/mc_plane_test.cpp) pins
+  /// reset == construct.
   void reset(Value proposal);
 
   [[nodiscard]] SkeletonMessage send(Round r) override;
@@ -71,9 +90,9 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
   [[nodiscard]] Value proposal() const { return proposal_; }
 
   /// Current estimate x_p.
-  [[nodiscard]] Value estimate() const { return x_; }
+  [[nodiscard]] Value estimate() const { return state_.x; }
 
-  [[nodiscard]] bool decided() const { return decided_; }
+  [[nodiscard]] bool decided() const { return state_.decide; }
 
   /// The decided value; requires decided().
   [[nodiscard]] Value decision() const;
@@ -84,10 +103,11 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
   [[nodiscard]] DecisionPath decision_path() const { return path_; }
 
   /// PT_p, the perceived perpetually-timely set.
-  [[nodiscard]] const ProcSet& pt() const { return pt_; }
+  [[nodiscard]] const ProcSet& pt() const { return history_.pt(); }
 
-  /// G_p, the current approximation of the stable skeleton.
-  [[nodiscard]] const LabeledDigraph& approximation() const { return g_; }
+  /// G_p, the current approximation of the stable skeleton, derived
+  /// from the compact state (O(n^2); for tests, monitors and traces).
+  [[nodiscard]] LabeledDigraph approximation() const { return state_.graph(); }
 
   /// Rounds whose Line-25 prune (and, when reached, Line-28 test)
   /// were answered from the structure cache instead of recomputed.
@@ -121,24 +141,52 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
     return guard_ == DecisionGuard::kAfterRoundN ? r > n() : r >= n();
   }
 
+  /// Lines 16-24: merges the senders' λ and node sets into state_ and
+  /// candidates_, then writes the post-purge in-edge rows into rows_.
+  /// Returns whether the structure (candidates + rows) differs from
+  /// the snapshot.
+  bool merge_and_purge(Round r, const Inbox<SkeletonMessage>& inbox);
+
+  /// Line 25 on the snapshot structure, privately: the candidates
+  /// that reach p, by a backward BFS over the in-edge rows.
+  [[nodiscard]] ProcSet reaching_owner() const;
+
+  /// Out-edge rows of the snapshot structure, into out_rows_.
+  void transpose_snapshot();
+
+  /// Line 28 on the pruned snapshot structure, privately.
+  [[nodiscard]] bool pruned_strongly_connected();
+
   Value proposal_;
-  Value x_;
-  ProcSet pt_;
-  LabeledDigraph g_;
-  bool decided_ = false;
+  DecisionGuard guard_;
+  /// Line 9's PT_p and t(·, p); state_.history[id()] points here.
+  PtHistory history_;
+  /// Everything p broadcasts: decide flag, x_p, λ_p, N_p and the
+  /// t(·, v) references of the nodes it knows.
+  SkeletonMessage state_;
   Round decision_round_ = 0;
   DecisionPath path_ = DecisionPath::kNone;
-  DecisionGuard guard_;
+
+  /// Per-round scratch: the Line-18 candidates (also as packed words)
+  /// and their post-purge in-edge rows, `span_` packed words per
+  /// process: row q holds the sources of q's surviving in-edges.
+  std::size_t span_;
+  ProcSet candidates_;
+  std::vector<std::uint64_t> candidate_words_;
+  std::vector<std::uint64_t> rows_;
 
   /// Change-driven reuse of the Line-25/Line-28 reachability work
-  /// (DESIGN.md §8). Both depend only on G_p's structure (nodes +
-  /// edges, labels ignored), and once the skeleton stabilizes the
-  /// post-purge structure repeats round after round — so the previous
-  /// round's keep-set and connectivity verdict stay valid as long as
-  /// the snapshot matches.
-  GraphStructure structure_;       // post-purge, pre-prune snapshot
-  ProcSet cached_keep_;            // Line-25 keep-set for structure_
-  bool cached_sc_ = false;         // Line-28 verdict for structure_
+  /// (DESIGN.md §8). Both depend only on the post-purge structure,
+  /// which repeats round after round once the skeleton stabilizes —
+  /// so the keep-set and connectivity verdict stay valid as long as
+  /// the structure matches the snapshot. A changed structure swaps
+  /// into the snapshot instead of being copied.
+  bool snapshot_valid_ = false;
+  ProcSet snapshot_nodes_;
+  std::vector<std::uint64_t> snapshot_rows_;
+  std::vector<ProcSet> out_rows_;  // transposed snapshot, sized on first use
+  ProcSet cached_keep_;            // Line-25 keep-set for the snapshot
+  bool cached_sc_ = false;         // Line-28 verdict for the snapshot
   bool cached_sc_valid_ = false;   // Line 28 evaluated lazily
   std::int64_t reach_cache_hits_ = 0;
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "graph/labeled_digraph.hpp"
 #include "util/assert.hpp"
 
 namespace sskel {
@@ -270,13 +269,16 @@ InternedStructure* StructureInternTable::intern(const Digraph& g) {
   return resolve(src);
 }
 
-InternedStructure* StructureInternTable::intern(const LabeledDigraph& g) {
+InternedStructure* StructureInternTable::intern(
+    const ProcSet& nodes, const std::vector<ProcSet>& rows) {
+  SSKEL_REQUIRE(rows.size() == static_cast<std::size_t>(nodes.universe()));
   const RowSource src{
-      g.n(), &g.nodes(),
+      nodes.universe(), &nodes,
       [](const void* ctx, ProcId q) -> const ProcSet& {
-        return static_cast<const LabeledDigraph*>(ctx)->out_edges(q);
+        return (*static_cast<const std::vector<ProcSet>*>(
+            ctx))[static_cast<std::size_t>(q)];
       },
-      &g};
+      &rows};
   return resolve(src);
 }
 

@@ -38,8 +38,6 @@
 
 namespace sskel {
 
-class LabeledDigraph;
-
 /// Counters of one intern table (or the merged view of a domain's
 /// shards). Reported through BENCH_*.json so tools/bench_diff.py
 /// tracks them across runs.
@@ -221,10 +219,12 @@ class StructureInternTable {
   /// computation).
   InternedStructure* intern(const Digraph& g);
 
-  /// Same, keyed on the *structure* of a labeled graph (labels
-  /// ignored) — a labeled and an unlabeled graph with the same nodes
-  /// and edges resolve to the same entry.
-  InternedStructure* intern(const LabeledDigraph& g);
+  /// Same, keyed on a structure given as its node set and out-edge
+  /// rows (`rows[q]` = the targets of q's edges) — the form Algorithm
+  /// 1's processes build; a Digraph with the same nodes and edges
+  /// resolves to the same entry.
+  InternedStructure* intern(const ProcSet& nodes,
+                            const std::vector<ProcSet>& rows);
 
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 

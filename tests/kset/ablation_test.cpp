@@ -1,7 +1,7 @@
 // Tests for the ablation variant: the faithful configuration matches
 // Algorithm 1 exactly; each disabled line breaks liveness in the way
 // the proofs predict; safety (<= k values) survives every ablation.
-#include "kset/ablation.hpp"
+#include "ablation.hpp"
 
 #include <gtest/gtest.h>
 

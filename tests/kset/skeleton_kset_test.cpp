@@ -41,7 +41,7 @@ TEST(SkeletonKSetTest, FirstMessageIsProp) {
   const SkeletonMessage m = p.send(1);
   EXPECT_FALSE(m.decide);
   EXPECT_EQ(m.x, 5);
-  EXPECT_EQ(m.graph.nodes(), ProcSet::singleton(3, 0));
+  EXPECT_EQ(m.graph().nodes(), ProcSet::singleton(3, 0));
 }
 
 TEST(SkeletonKSetTest, PtShrinksWithMissedMessages) {
@@ -177,7 +177,7 @@ TEST(SkeletonKSetTest, DecidedProcessKeepsBroadcastingDecide) {
   EXPECT_TRUE(m.decide);
   EXPECT_EQ(m.x, 1);
   // The graph keeps being served fresh after the decision.
-  EXPECT_GT(m.graph.max_label(), 0);
+  EXPECT_GT(m.graph().max_label(), 0);
 }
 
 TEST(SkeletonKSetTest, DecisionIsIrrevocable) {

@@ -143,7 +143,11 @@ TEST(InternTableTest, LabeledAndUnlabeledStructuresShareOneEntry) {
   }
   g.add_edge(1, 2);
   g.add_edge(2, 1);
-  InternedStructure* from_labeled = table.intern(lg);
+  // Algorithm 1's processes intern their structure as node set plus
+  // out-edge rows; labels never enter the key.
+  std::vector<ProcSet> rows;
+  for (ProcId q = 0; q < 5; ++q) rows.push_back(lg.out_edges(q));
+  InternedStructure* from_labeled = table.intern(lg.nodes(), rows);
   ASSERT_NE(from_labeled, nullptr);
   EXPECT_EQ(from_labeled, table.intern(g));
   EXPECT_EQ(table.entry_count(), 1u);
