@@ -92,13 +92,15 @@ class AblationKSetProcess final : public Algorithm<DenseMessage> {
       }
     }
 
-    if (flags_.reset_graph) g_.reset(id());
+    if (flags_.reset_graph) oracles::reset(g_, id());
     for (ProcId q : pt_) {
       g_.set_edge(q, id(), r);
-      g_.merge_max(inbox.from(q).graph);
+      oracles::merge_max(g_, inbox.from(q).graph);
     }
-    if (flags_.purge_old) g_.purge_labels_up_to(r - n());
-    if (flags_.prune_unreachable) (void)g_.prune_not_reaching(id());
+    if (flags_.purge_old) oracles::purge_labels_up_to(g_, r - n());
+    if (flags_.prune_unreachable) {
+      (void)oracles::prune_not_reaching(g_, id());
+    }
 
     if (!decided_) {
       Value best = kNoValue;

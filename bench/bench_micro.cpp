@@ -25,6 +25,7 @@
 #include "skeleton/intern.hpp"
 #include "kset/runner.hpp"
 #include "kset/skeleton_kset.hpp"
+#include "oracles/dense_kset.hpp"
 #include "oracles/psrcs_bruteforce.hpp"
 #include "predicates/analysis.hpp"
 #include "predicates/psrcs.hpp"
@@ -99,7 +100,7 @@ void BM_ApproxMergeMax(benchmark::State& state) {
   const LabeledDigraph b = random_labeled(n, 0.3, 5);
   for (auto _ : state) {
     LabeledDigraph merged = a;
-    merged.merge_max(b);
+    oracles::merge_max(merged, b);
     benchmark::DoNotOptimize(merged);
   }
 }
@@ -110,7 +111,7 @@ void BM_PruneNotReaching(benchmark::State& state) {
   const LabeledDigraph g = random_labeled(n, 0.1, 6);
   for (auto _ : state) {
     LabeledDigraph pruned = g;
-    pruned.prune_not_reaching(0);
+    oracles::prune_not_reaching(pruned, 0);
     benchmark::DoNotOptimize(pruned);
   }
 }

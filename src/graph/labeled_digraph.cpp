@@ -17,18 +17,6 @@ LabeledDigraph::LabeledDigraph(ProcId n, ProcId owner)
   nodes_.insert(owner);
 }
 
-void LabeledDigraph::reset(ProcId owner) {
-  SSKEL_REQUIRE(owner >= 0 && owner < n_);
-  nodes_.clear();
-  nodes_.insert(owner);
-  // Clearing by rows touches only cells that are actually set.
-  for (ProcId q = 0; q < n_; ++q) {
-    ProcSet& row = rows_[static_cast<std::size_t>(q)];
-    for (ProcId p : row) labels_[index(q, p)] = 0;
-    row.clear();
-  }
-}
-
 void LabeledDigraph::add_node(ProcId p) {
   SSKEL_REQUIRE(p >= 0 && p < n_);
   nodes_.insert(p);
@@ -45,50 +33,6 @@ void LabeledDigraph::set_edge(ProcId q, ProcId p, Round label) {
 void LabeledDigraph::remove_edge(ProcId q, ProcId p) {
   labels_[index(q, p)] = 0;
   rows_[static_cast<std::size_t>(q)].erase(p);
-}
-
-void LabeledDigraph::merge_max(const LabeledDigraph& other) {
-  SSKEL_REQUIRE(n_ == other.n_);
-  nodes_ |= other.nodes_;
-  // Hybrid merge: approximation graphs in real runs are usually
-  // sparse (skeletons hover around O(n) edges), where walking the
-  // other graph's edge bitsets wins; when the other graph is dense,
-  // the branch-free whole-matrix max is faster than bit scanning.
-  const std::int64_t dense_threshold =
-      static_cast<std::int64_t>(labels_.size() / 8);
-  if (other.edge_count() >= dense_threshold) {
-    for (std::size_t i = 0; i < labels_.size(); ++i) {
-      labels_[i] = std::max(labels_[i], other.labels_[i]);
-    }
-    for (ProcId q = 0; q < n_; ++q) {
-      rows_[static_cast<std::size_t>(q)] |=
-          other.rows_[static_cast<std::size_t>(q)];
-    }
-    return;
-  }
-  for (ProcId q : other.nodes_) {
-    const ProcSet& other_row = other.rows_[static_cast<std::size_t>(q)];
-    for (ProcId p : other_row) {
-      const Round incoming = other.labels_[other.index(q, p)];
-      Round& cell = labels_[index(q, p)];
-      if (incoming > cell) cell = incoming;
-    }
-    rows_[static_cast<std::size_t>(q)] |= other_row;
-  }
-}
-
-void LabeledDigraph::purge_labels_up_to(Round cutoff) {
-  if (cutoff <= 0) return;
-  for (ProcId q = 0; q < n_; ++q) {
-    ProcSet& row = rows_[static_cast<std::size_t>(q)];
-    for (ProcId p : row) {
-      Round& cell = labels_[index(q, p)];
-      if (cell <= cutoff) {
-        cell = 0;
-        row.erase(p);
-      }
-    }
-  }
 }
 
 ProcSet LabeledDigraph::reachable_from(ProcId start) const {
@@ -129,28 +73,6 @@ ProcSet LabeledDigraph::reaching_set(ProcId target) const {
   return visited;
 }
 
-ProcSet LabeledDigraph::prune_not_reaching(ProcId owner) {
-  SSKEL_REQUIRE(nodes_.contains(owner));
-  ProcSet keep = reaching_set(owner);
-  for (ProcId q = 0; q < n_; ++q) {
-    ProcSet& row = rows_[static_cast<std::size_t>(q)];
-    if (row.empty()) continue;
-    if (!keep.contains(q)) {
-      for (ProcId p : row) labels_[index(q, p)] = 0;
-      row.clear();
-      continue;
-    }
-    for (ProcId p : row) {
-      if (!keep.contains(p)) {
-        labels_[index(q, p)] = 0;
-        row.erase(p);
-      }
-    }
-  }
-  nodes_ &= keep;
-  return keep;
-}
-
 std::int64_t LabeledDigraph::edge_count() const {
   std::int64_t total = 0;
   for (const ProcSet& row : rows_) total += row.count();
@@ -185,10 +107,6 @@ Digraph LabeledDigraph::unlabeled() const {
     for (ProcId p : rows_[static_cast<std::size_t>(q)]) g.add_edge(q, p);
   }
   return g;
-}
-
-std::int64_t LabeledDigraph::reachability_computations() {
-  return metrics::total(metrics::Counter::kReachabilityComputations);
 }
 
 bool LabeledDigraph::strongly_connected() const {

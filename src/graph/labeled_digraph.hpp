@@ -11,8 +11,9 @@
 // on demand (kset/message.hpp, DESIGN.md §8.1). This type is that
 // derived view — what the wire codec encodes, the lemma monitor
 // checks and the traces print — and the state of the dense reference
-// process in tests/oracles/dense_kset.hpp, whose merge/purge/prune
-// mutators below are the pseudocode's Lines 15-25 verbatim.
+// process in tests/oracles/dense_kset.hpp, which runs the
+// pseudocode's Lines 15-25 (reset, merge, purge, prune) verbatim over
+// the public API below.
 //
 // Representation: a node-presence ProcSet plus an n x n label matrix
 // (label 0 = edge absent; valid labels are rounds >= 1), so one graph
@@ -41,9 +42,6 @@ class LabeledDigraph {
   [[nodiscard]] const ProcSet& nodes() const { return nodes_; }
   [[nodiscard]] bool has_node(ProcId p) const { return nodes_.contains(p); }
 
-  /// Resets to <{owner}, {}> (Line 15).
-  void reset(ProcId owner);
-
   void add_node(ProcId p);
 
   /// Sets edge (q -> p) with the given round label, inserting both
@@ -62,21 +60,6 @@ class LabeledDigraph {
 
   void remove_edge(ProcId q, ProcId p);
 
-  /// Adds all nodes of `other` (Line 18) and raises every edge label
-  /// to the maximum of the two graphs (Lines 19-23, folded over the
-  /// received graphs one at a time — max is associative, so the fold
-  /// equals the paper's batch max over R_{i,j}).
-  void merge_max(const LabeledDigraph& other);
-
-  /// Removes every edge with label <= cutoff (Line 24 uses
-  /// cutoff = r - n). Nodes are untouched.
-  void purge_labels_up_to(Round cutoff);
-
-  /// Removes every node (except `owner`) from which `owner` is not
-  /// reachable, with all incident edges (Line 25). Returns the kept
-  /// node set.
-  ProcSet prune_not_reaching(ProcId owner);
-
   [[nodiscard]] std::int64_t edge_count() const;
 
   /// Smallest / largest label present (0 when no edges).
@@ -90,16 +73,16 @@ class LabeledDigraph {
   /// Strong connectivity of the present node set (Line 28's test).
   [[nodiscard]] bool strongly_connected() const;
 
-  /// Count of reachability fixpoints run (reachable_from +
-  /// reaching_set calls), summed over every thread's counter block
-  /// (util/metrics.hpp): exact once the calling threads are quiescent.
-  /// Tests assert the post-stabilization tail of Algorithm 1 stops
-  /// paying for them once the structure cache kicks in.
-  [[nodiscard]] static std::int64_t reachability_computations();
+  /// Nodes that reach `target` (includes `target`; empty when target
+  /// is not a node) — the keep set of Line 25's prune. rows_ stores
+  /// out-edges only, so this runs a fixpoint instead of a reverse BFS.
+  /// It and strongly_connected count their fixpoints in
+  /// metrics::Counter::kReachabilityComputations.
+  [[nodiscard]] ProcSet reaching_set(ProcId target) const;
 
   /// Out-neighbors of q (targets of labeled edges from q). Kept as a
-  /// bitset alongside the label matrix so that merge/iteration cost
-  /// scales with actual edges, not with n^2.
+  /// bitset alongside the label matrix so that iterating the edges
+  /// costs O(edges + n^2/64), not n^2.
   [[nodiscard]] const ProcSet& out_edges(ProcId q) const {
     SSKEL_REQUIRE(q >= 0 && q < n_);
     return rows_[static_cast<std::size_t>(q)];
@@ -113,13 +96,9 @@ class LabeledDigraph {
 
  private:
   /// Nodes reachable from `start` following labeled edges (forward
-  /// BFS over rows_; includes `start`). Native so the per-round
-  /// Line-25/Line-28 checks construct no Digraph.
+  /// BFS over rows_; includes `start`). Native so the Line-28 check
+  /// constructs no Digraph.
   [[nodiscard]] ProcSet reachable_from(ProcId start) const;
-
-  /// Nodes that reach `target` (includes `target`). rows_ stores
-  /// out-edges only, so this runs a fixpoint instead of a reverse BFS.
-  [[nodiscard]] ProcSet reaching_set(ProcId target) const;
 
   [[nodiscard]] std::size_t index(ProcId q, ProcId p) const {
     SSKEL_REQUIRE(q >= 0 && q < n_ && p >= 0 && p < n_);

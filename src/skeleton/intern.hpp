@@ -97,8 +97,8 @@ class InternedStructure {
   [[nodiscard]] bool strongly_connected();
 
   /// Line 25's keep-set for `owner` (must be a node): the set of nodes
-  /// that reach `owner`. Bit-equal to
-  /// LabeledDigraph::prune_not_reaching(owner) on the same structure.
+  /// that reach `owner`. Bit-equal to LabeledDigraph::reaching_set(owner)
+  /// on the same structure.
   /// Served from the condensation's reach closure, cached per owner
   /// *component* — processes in one SCC share the answer.
   [[nodiscard]] const ProcSet& keep_set(ProcId owner);

@@ -74,14 +74,16 @@ class LemmaMonitor {
 
   [[nodiscard]] const SkeletonTracker& tracker() const { return tracker_; }
 
-  /// Attaches a run-scoped intern table (nullptr detaches). The
-  /// monitor's tracker resolves its analytics through the table, and
-  /// Lemma 7's per-round base-skeleton decomposition is served from
-  /// the interned entry's memoized Tarjan instead of recomputed — one
-  /// decomposition per *distinct* historical skeleton for the whole
-  /// run (and across trials sharing the table) rather than one per
-  /// round. Same single-thread discipline as the tracker: the table
-  /// must outlive the monitor.
+  /// Attaches a run-scoped intern table. The monitor's tracker
+  /// resolves its analytics through the table, and Lemma 7's per-round
+  /// base-skeleton decomposition is served from the interned entry's
+  /// memoized Tarjan instead of recomputed — one decomposition per
+  /// *distinct* historical skeleton for the whole run (and across
+  /// trials sharing the table) rather than one per round. Call it once,
+  /// with a non-null table, before the first observe_round: a null
+  /// table aborts, and so does a call after the monitor's first
+  /// analytics query (SkeletonTracker::attach_intern). The table must
+  /// outlive the monitor and, like the tracker, stay on one thread.
   void attach_intern(StructureInternTable* table);
 
   /// Lemma 7 base decompositions served from an interned entry vs

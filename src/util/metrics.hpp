@@ -36,7 +36,7 @@ enum class Counter : std::uint8_t {
   kProcSetLiveBytes,          ///< heap bytes owned by ProcSet storage
   kProcSetArenaBytes,         ///< dense payload bytes parked in word arenas
   kProcSetArenaReuses,        ///< dense payloads served from an arena
-  kReachabilityComputations,  ///< LabeledDigraph reachability fixpoints
+  kReachabilityComputations,  ///< reachability fixpoints and BFS runs
   kGraphsConstructed,         ///< Digraph constructions that allocated
 };
 

@@ -350,7 +350,7 @@ bool ProcSet::is_subset_of(const ProcSet& other) const {
     }
     return true;
   }
-  return wk::ops().subset(words_.data(), other.words_.data(), words_.size());
+  return wk::subset(words_.data(), other.words_.data(), words_.size());
 }
 
 bool ProcSet::intersects(const ProcSet& other) const {
@@ -383,8 +383,7 @@ bool ProcSet::intersects(const ProcSet& other) const {
       return (words_[w] & other.words_[w]) == 0;
     });
   }
-  return wk::ops().intersects(words_.data(), other.words_.data(),
-                              words_.size());
+  return wk::intersects(words_.data(), other.words_.data(), words_.size());
 }
 
 int ProcSet::intersection_count(const ProcSet& other) const {
@@ -509,15 +508,14 @@ std::uint64_t ProcSet::intersect_core(const ProcSet& other, ProcSet* diff) {
     return any;
   }
 
-  // Dense x dense full-span: hand the whole payload to the SIMD kernel.
+  // Dense x dense full-span: hand the whole payload to the word kernel.
   if (diff != nullptr) {
     if (diff->sparse_) diff->densify();
-    any = wk::ops().and_diff(words_.data(), other.words_.data(),
-                             diff->words_.data(), words_.size());
+    any = wk::and_diff(words_.data(), other.words_.data(),
+                       diff->words_.data(), words_.size());
     if (!diff->summary_.empty()) diff->rebuild_summary();
   } else {
-    any = wk::ops().and_changed(words_.data(), other.words_.data(),
-                                words_.size());
+    any = wk::and_changed(words_.data(), other.words_.data(), words_.size());
   }
   if (!summary_.empty() && any != 0) rebuild_summary();
   if (diff != nullptr) {
@@ -579,7 +577,7 @@ ProcSet& ProcSet::or_assign_slow(const ProcSet& other) {
     return *this;
   }
   if (sparse_) densify();
-  wk::ops().or_inplace(words_.data(), other.words_.data(), words_.size());
+  wk::or_inplace(words_.data(), other.words_.data(), words_.size());
   if (!summary_.empty()) {
     if (other.summary_.size() == summary_.size()) {
       for (std::size_t s = 0; s < summary_.size(); ++s) {
@@ -628,7 +626,7 @@ ProcSet& ProcSet::operator-=(const ProcSet& other) {
     maybe_sparsify();
     return *this;
   }
-  wk::ops().andnot_inplace(words_.data(), other.words_.data(), words_.size());
+  wk::andnot_inplace(words_.data(), other.words_.data(), words_.size());
   if (!summary_.empty()) rebuild_summary();
   maybe_sparsify();
   return *this;
@@ -672,8 +670,8 @@ void ProcSet::or_and(const ProcSet& src, const ProcSet& mask) {
     }
     densify();
   }
-  wk::ops().or_and(words_.data(), src.words_.data(), mask.words_.data(),
-                   words_.size());
+  wk::or_and(words_.data(), src.words_.data(), mask.words_.data(),
+             words_.size());
   if (!summary_.empty()) rebuild_summary();
 }
 

@@ -16,8 +16,7 @@
 //     tier* — one bit per payload word (so one summary word covers
 //     64 * 64 = 4096 processes) kept exactly in sync; iteration and
 //     shrink operations walk only summary-active blocks, and bulk
-//     dense sweeps dispatch to the SIMD word kernels
-//     (util/word_kernels.hpp);
+//     dense sweeps run the word kernels (util/word_kernels.hpp);
 //   * large universes, sparse form: once a shrink leaves at most
 //     1/8 of the payload words nonzero, the payload is dropped for a
 //     sorted (word-index, word) block list — CSR-style — so storage
@@ -53,6 +52,7 @@
 
 #include "util/assert.hpp"
 #include "util/types.hpp"
+#include "util/word_kernels.hpp"
 
 namespace sskel {
 
@@ -206,11 +206,9 @@ class ProcSet {
     SSKEL_REQUIRE(n_ == other.n_);
     if (!sparse_ && !other.sparse_ && summary_.empty() &&
         other.summary_.empty()) {
-      // Small-universe dense union: a plain word loop beats the
-      // kernel dispatch for the handful of words involved.
-      for (std::size_t w = 0; w < words_.size(); ++w) {
-        words_[w] |= other.words_[w];
-      }
+      // Small-universe dense union: no summary to maintain, so the
+      // word loop is the whole operation.
+      wk::or_inplace(words_.data(), other.words_.data(), words_.size());
       return *this;
     }
     return or_assign_slow(other);

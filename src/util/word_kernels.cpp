@@ -1,472 +1,8 @@
 #include "util/word_kernels.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
-
-#include "util/assert.hpp"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define SSKEL_WK_X86 1
-#include <immintrin.h>
-#else
-#define SSKEL_WK_X86 0
-#endif
 
 namespace sskel::wk {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Scalar kernels (the portable reference; also the tail handler the
-// vector kernels fall back to for the last < vector-width words).
-// ---------------------------------------------------------------------------
-
-void s_and(std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  for (std::size_t i = 0; i < nw; ++i) dst[i] &= src[i];
-}
-
-std::uint64_t s_and_changed(std::uint64_t* dst, const std::uint64_t* src,
-                            std::size_t nw) {
-  std::uint64_t removed = 0;
-  for (std::size_t i = 0; i < nw; ++i) {
-    removed |= dst[i] & ~src[i];
-    dst[i] &= src[i];
-  }
-  return removed;
-}
-
-std::uint64_t s_and_diff(std::uint64_t* dst, const std::uint64_t* src,
-                         std::uint64_t* diff, std::size_t nw) {
-  std::uint64_t removed = 0;
-  for (std::size_t i = 0; i < nw; ++i) {
-    const std::uint64_t gone = dst[i] & ~src[i];
-    diff[i] = gone;
-    removed |= gone;
-    dst[i] &= src[i];
-  }
-  return removed;
-}
-
-void s_or(std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  for (std::size_t i = 0; i < nw; ++i) dst[i] |= src[i];
-}
-
-void s_or_and(std::uint64_t* dst, const std::uint64_t* a,
-              const std::uint64_t* b, std::size_t nw) {
-  for (std::size_t i = 0; i < nw; ++i) dst[i] |= a[i] & b[i];
-}
-
-void s_andnot(std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  for (std::size_t i = 0; i < nw; ++i) dst[i] &= ~src[i];
-}
-
-bool s_subset(const std::uint64_t* a, const std::uint64_t* b,
-              std::size_t nw) {
-  for (std::size_t i = 0; i < nw; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
-bool s_intersects(const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t nw) {
-  for (std::size_t i = 0; i < nw; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-constexpr Kernels kScalarKernels{
-    s_and,    s_and_changed, s_and_diff, s_or,
-    s_or_and, s_andnot,      s_subset,   s_intersects,
-};
-
-#if SSKEL_WK_X86
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels: 4 words per 256-bit op, scalar tail. Compiled with a
-// per-function target attribute so the TU itself needs no -mavx2 and
-// the binary stays runnable on machines that dispatch to scalar.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) void v2_and(std::uint64_t* dst,
-                                            const std::uint64_t* src,
-                                            std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(d, s));
-  }
-  s_and(dst + i, src + i, nw - i);
-}
-
-__attribute__((target("avx2"))) std::uint64_t v2_and_changed(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    acc = _mm256_or_si256(acc, _mm256_andnot_si256(s, d));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(d, s));
-  }
-  std::uint64_t removed = s_and_changed(dst + i, src + i, nw - i);
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  removed |= lanes[0] | lanes[1] | lanes[2] | lanes[3];
-  return removed;
-}
-
-__attribute__((target("avx2"))) std::uint64_t v2_and_diff(
-    std::uint64_t* dst, const std::uint64_t* src, std::uint64_t* diff,
-    std::size_t nw) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i gone = _mm256_andnot_si256(s, d);
-    acc = _mm256_or_si256(acc, gone);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diff + i), gone);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(d, s));
-  }
-  std::uint64_t removed = s_and_diff(dst + i, src + i, diff + i, nw - i);
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  removed |= lanes[0] | lanes[1] | lanes[2] | lanes[3];
-  return removed;
-}
-
-__attribute__((target("avx2"))) void v2_or(std::uint64_t* dst,
-                                           const std::uint64_t* src,
-                                           std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(d, s));
-  }
-  s_or(dst + i, src + i, nw - i);
-}
-
-__attribute__((target("avx2"))) void v2_or_and(std::uint64_t* dst,
-                                               const std::uint64_t* a,
-                                               const std::uint64_t* b,
-                                               std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_or_si256(d, _mm256_and_si256(x, y)));
-  }
-  s_or_and(dst + i, a + i, b + i, nw - i);
-}
-
-__attribute__((target("avx2"))) void v2_andnot(std::uint64_t* dst,
-                                               const std::uint64_t* src,
-                                               std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_andnot_si256(s, d));
-  }
-  s_andnot(dst + i, src + i, nw - i);
-}
-
-__attribute__((target("avx2"))) bool v2_subset(const std::uint64_t* a,
-                                               const std::uint64_t* b,
-                                               std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // testz(~b, a): nonzero iff a has a bit outside b.
-    if (_mm256_testz_si256(_mm256_andnot_si256(y, x),
-                           _mm256_andnot_si256(y, x)) == 0) {
-      return false;
-    }
-  }
-  return s_subset(a + i, b + i, nw - i);
-}
-
-__attribute__((target("avx2"))) bool v2_intersects(const std::uint64_t* a,
-                                                   const std::uint64_t* b,
-                                                   std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (_mm256_testz_si256(x, y) == 0) return true;
-  }
-  return s_intersects(a + i, b + i, nw - i);
-}
-
-constexpr Kernels kAvx2Kernels{
-    v2_and,    v2_and_changed, v2_and_diff, v2_or,
-    v2_or_and, v2_andnot,      v2_subset,   v2_intersects,
-};
-
-// ---------------------------------------------------------------------------
-// AVX-512F kernels: 8 words per 512-bit op, scalar tail.
-//
-// gcc 12 expands several 512-bit intrinsics (_mm512_andnot_si512,
-// _mm512_test_epi64_mask, ...) through _mm512_undefined_epi32(), whose
-// deliberately-uninitialized passthrough operand trips
-// -Werror=maybe-uninitialized at inline depth. Silence just those two
-// diagnostics for this section; the kernels themselves read nothing
-// uninitialized.
-// ---------------------------------------------------------------------------
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-__attribute__((target("avx512f"))) void v5_and(std::uint64_t* dst,
-                                               const std::uint64_t* src,
-                                               std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(d, s));
-  }
-  s_and(dst + i, src + i, nw - i);
-}
-
-// OR-reduction of 8 lanes via a spill; gcc 12's _mm512_reduce_or_epi64
-// expands through _mm256_undefined_si256() and trips
-// -Werror=uninitialized, so we reduce by hand.
-__attribute__((target("avx512f"))) std::uint64_t v5_hor(__m512i acc) {
-  std::uint64_t lanes[8];
-  _mm512_storeu_si512(lanes, acc);
-  return lanes[0] | lanes[1] | lanes[2] | lanes[3] | lanes[4] | lanes[5] |
-         lanes[6] | lanes[7];
-}
-
-__attribute__((target("avx512f"))) std::uint64_t v5_and_changed(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    acc = _mm512_or_si512(acc, _mm512_andnot_si512(s, d));
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(d, s));
-  }
-  std::uint64_t removed = s_and_changed(dst + i, src + i, nw - i);
-  removed |= v5_hor(acc);
-  return removed;
-}
-
-__attribute__((target("avx512f"))) std::uint64_t v5_and_diff(
-    std::uint64_t* dst, const std::uint64_t* src, std::uint64_t* diff,
-    std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    const __m512i gone = _mm512_andnot_si512(s, d);
-    acc = _mm512_or_si512(acc, gone);
-    _mm512_storeu_si512(diff + i, gone);
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(d, s));
-  }
-  std::uint64_t removed = s_and_diff(dst + i, src + i, diff + i, nw - i);
-  removed |= v5_hor(acc);
-  return removed;
-}
-
-__attribute__((target("avx512f"))) void v5_or(std::uint64_t* dst,
-                                              const std::uint64_t* src,
-                                              std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_si512(d, s));
-  }
-  s_or(dst + i, src + i, nw - i);
-}
-
-__attribute__((target("avx512f"))) void v5_or_and(std::uint64_t* dst,
-                                                  const std::uint64_t* a,
-                                                  const std::uint64_t* b,
-                                                  std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i x = _mm512_loadu_si512(a + i);
-    const __m512i y = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_si512(d, _mm512_and_si512(x, y)));
-  }
-  s_or_and(dst + i, a + i, b + i, nw - i);
-}
-
-__attribute__((target("avx512f"))) void v5_andnot(std::uint64_t* dst,
-                                                  const std::uint64_t* src,
-                                                  std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_andnot_si512(s, d));
-  }
-  s_andnot(dst + i, src + i, nw - i);
-}
-
-__attribute__((target("avx512f"))) bool v5_subset(const std::uint64_t* a,
-                                                  const std::uint64_t* b,
-                                                  std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i x = _mm512_loadu_si512(a + i);
-    const __m512i y = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(_mm512_andnot_si512(y, x),
-                               _mm512_andnot_si512(y, x)) != 0) {
-      return false;
-    }
-  }
-  return s_subset(a + i, b + i, nw - i);
-}
-
-__attribute__((target("avx512f"))) bool v5_intersects(const std::uint64_t* a,
-                                                       const std::uint64_t* b,
-                                                       std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i x = _mm512_loadu_si512(a + i);
-    const __m512i y = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(x, y) != 0) return true;
-  }
-  return s_intersects(a + i, b + i, nw - i);
-}
-
-constexpr Kernels kAvx512Kernels{
-    v5_and,    v5_and_changed, v5_and_diff, v5_or,
-    v5_or_and, v5_andnot,      v5_subset,   v5_intersects,
-};
-#pragma GCC diagnostic pop
-
-#endif  // SSKEL_WK_X86
-
-// ---------------------------------------------------------------------------
-// Dispatch.
-// ---------------------------------------------------------------------------
-
-Simd resolve_initial() {
-  Simd pick = best_supported();
-  if (const char* env = std::getenv("SSKEL_SIMD")) {
-    Simd parsed = pick;
-    if (parse(env, parsed) && supported(parsed)) pick = parsed;
-  }
-  return pick;
-}
-
-/// The active tier, stored as int for the atomic. Initialized lazily
-/// so tests can set SSKEL_SIMD before first use.
-std::atomic<int>& active_slot() {
-  static std::atomic<int> slot{static_cast<int>(resolve_initial())};
-  return slot;
-}
-
-}  // namespace
-
-bool supported(Simd kind) {
-  switch (kind) {
-    case Simd::kScalar:
-      return true;
-#if SSKEL_WK_X86
-    case Simd::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case Simd::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-    case Simd::kAvx2:
-    case Simd::kAvx512:
-      return false;
-#endif
-  }
-  return false;
-}
-
-Simd best_supported() {
-  if (supported(Simd::kAvx512)) return Simd::kAvx512;
-  if (supported(Simd::kAvx2)) return Simd::kAvx2;
-  return Simd::kScalar;
-}
-
-const Kernels& ops_for(Simd kind) {
-  SSKEL_REQUIRE(supported(kind));
-#if SSKEL_WK_X86
-  switch (kind) {
-    case Simd::kAvx512:
-      return kAvx512Kernels;
-    case Simd::kAvx2:
-      return kAvx2Kernels;
-    case Simd::kScalar:
-      break;
-  }
-#endif
-  return kScalarKernels;
-}
-
-const Kernels& ops() { return ops_for(active()); }
-
-Simd active() {
-  return static_cast<Simd>(active_slot().load(std::memory_order_relaxed));
-}
-
-void force(Simd kind) {
-  SSKEL_REQUIRE(supported(kind));
-  active_slot().store(static_cast<int>(kind), std::memory_order_relaxed);
-}
-
-const char* name(Simd kind) {
-  switch (kind) {
-    case Simd::kScalar:
-      return "scalar";
-    case Simd::kAvx2:
-      return "avx2";
-    case Simd::kAvx512:
-      return "avx512";
-  }
-  return "?";
-}
-
-bool parse(const char* text, Simd& out) {
-  if (text == nullptr) return false;
-  const auto equals = [text](const char* t) {
-    return std::strcmp(text, t) == 0;
-  };
-  if (equals("auto")) {
-    out = best_supported();
-    return true;
-  }
-  if (equals("scalar")) {
-    out = Simd::kScalar;
-    return true;
-  }
-  if (equals("avx2")) {
-    out = Simd::kAvx2;
-    return true;
-  }
-  if (equals("avx512")) {
-    out = Simd::kAvx512;
-    return true;
-  }
-  return false;
-}
 
 std::int64_t popcount(const std::uint64_t* w, std::size_t nw) {
   std::int64_t c = 0;

@@ -1,21 +1,17 @@
-// Runtime-dispatched word kernels for bitset algebra.
+// Word kernels for bitset algebra.
 //
 // Every hot loop of the library bottoms out in straight-line algebra
 // over packed 64-bit words: skeleton intersection, removal-diff
-// materialization, masked BFS folds, subset tests. At n = 65,536 a
-// single dense row is 1024 words and one complete-graph intersection
-// sweep touches gigabytes, so those loops are worth explicit SIMD.
-// This header exposes one dispatch table of C-style kernels with three
-// implementations — portable scalar, AVX2 (4 words per op), and
-// AVX-512F (8 words per op) — selected once at startup from CPUID,
-// overridable via the SSKEL_SIMD environment variable
-// (auto/scalar/avx2/avx512, mirroring SSKEL_THREADS) and via force()
-// so the equivalence tests can run every supported path.
+// materialization, masked BFS folds, subset tests. Each kernel is one
+// plain loop, inline so a call on a single word (every set up to
+// n = 64, nearly all of the traffic) costs no call at all, and free of
+// branches inside the loop so the compiler vectorizes the long spans
+// (1024 words per row at n = 65,536) for the target it builds for.
 //
 // Kernels are deliberately representation-free: they see raw word
 // spans, not ProcSets. The tiered ProcSet calls them on its dense
-// payload; sparse blocks go through per-word scalar merges where SIMD
-// has nothing to add.
+// payload; sparse blocks go through per-word merges instead. All
+// spans are `nw` words long.
 #pragma once
 
 #include <cstddef>
@@ -23,72 +19,70 @@
 
 namespace sskel::wk {
 
-/// Instruction-set tiers, ordered by preference.
-enum class Simd { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+/// dst &= src; returns the OR of all removed bits (nonzero iff the
+/// AND cleared anything).
+inline std::uint64_t and_changed(std::uint64_t* dst, const std::uint64_t* src,
+                                 std::size_t nw) {
+  std::uint64_t removed = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    removed |= dst[i] & ~src[i];
+    dst[i] &= src[i];
+  }
+  return removed;
+}
 
-/// One dispatchable kernel set. All spans are `nw` words long;
-/// overlapping spans are not supported (callers pass distinct
-/// buffers or dst == a style in-place forms as documented per field).
-struct Kernels {
-  /// dst &= src.
-  void (*and_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t nw);
-  /// dst &= src; returns the OR of all removed bits (nonzero iff the
-  /// AND cleared anything).
-  std::uint64_t (*and_changed)(std::uint64_t* dst, const std::uint64_t* src,
-                               std::size_t nw);
-  /// dst &= src; diff[i] receives the bits removed from dst[i];
-  /// returns the OR of all removed bits.
-  std::uint64_t (*and_diff)(std::uint64_t* dst, const std::uint64_t* src,
-                            std::uint64_t* diff, std::size_t nw);
-  /// dst |= src.
-  void (*or_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t nw);
-  /// dst |= a & b — the fused masked-BFS fold (frontier row ANDed with
-  /// the member mask, ORed into the visited accumulator, one pass).
-  void (*or_and)(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t nw);
-  /// dst &= ~src.
-  void (*andnot_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t nw);
-  /// (a & ~b) == 0 over the span.
-  bool (*subset)(const std::uint64_t* a, const std::uint64_t* b,
-                 std::size_t nw);
-  /// (a & b) != 0 anywhere in the span.
-  bool (*intersects)(const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t nw);
-};
+/// dst &= src; diff[i] receives the bits removed from dst[i]; returns
+/// the OR of all removed bits.
+inline std::uint64_t and_diff(std::uint64_t* dst, const std::uint64_t* src,
+                              std::uint64_t* diff, std::size_t nw) {
+  std::uint64_t removed = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    const std::uint64_t gone = dst[i] & ~src[i];
+    diff[i] = gone;
+    removed |= gone;
+    dst[i] &= src[i];
+  }
+  return removed;
+}
 
-/// The active kernel table (resolved on first use: SSKEL_SIMD when
-/// set and supported, otherwise the best CPUID-supported tier).
-[[nodiscard]] const Kernels& ops();
+/// dst |= src.
+inline void or_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                       std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) dst[i] |= src[i];
+}
 
-/// The kernel table of a specific tier (for the SIMD-vs-scalar
-/// equivalence tests). Requires supported(kind).
-[[nodiscard]] const Kernels& ops_for(Simd kind);
+/// dst |= a & b — the fused masked-BFS fold (frontier row ANDed with
+/// the member mask, ORed into the visited accumulator, one pass).
+inline void or_and(std::uint64_t* dst, const std::uint64_t* a,
+                   const std::uint64_t* b, std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) dst[i] |= a[i] & b[i];
+}
 
-/// Currently active tier.
-[[nodiscard]] Simd active();
+/// dst &= ~src.
+inline void andnot_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                           std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) dst[i] &= ~src[i];
+}
 
-/// Whether this CPU can run `kind`.
-[[nodiscard]] bool supported(Simd kind);
+/// (a & ~b) == 0 over the span. Reads the whole span: an OR reduction
+/// without an early exit is what lets the loop vectorize.
+[[nodiscard]] inline bool subset(const std::uint64_t* a,
+                                 const std::uint64_t* b, std::size_t nw) {
+  std::uint64_t outside = 0;
+  for (std::size_t i = 0; i < nw; ++i) outside |= a[i] & ~b[i];
+  return outside == 0;
+}
 
-/// Best tier this CPU supports.
-[[nodiscard]] Simd best_supported();
+/// (a & b) != 0 anywhere in the span (same whole-span reduction as
+/// subset).
+[[nodiscard]] inline bool intersects(const std::uint64_t* a,
+                                     const std::uint64_t* b, std::size_t nw) {
+  std::uint64_t common = 0;
+  for (std::size_t i = 0; i < nw; ++i) common |= a[i] & b[i];
+  return common != 0;
+}
 
-/// Forces the active tier (tests / benches). Requires supported(kind).
-void force(Simd kind);
-
-/// "scalar" / "avx2" / "avx512".
-[[nodiscard]] const char* name(Simd kind);
-
-/// Parses an SSKEL_SIMD value: "auto" yields best_supported();
-/// "scalar"/"avx2"/"avx512" name a tier. Returns false (out
-/// untouched) on unknown text.
-[[nodiscard]] bool parse(const char* text, Simd& out);
-
-/// c += popcount(w[0..nw)). Scalar on purpose: hardware popcnt
-/// saturates one per cycle and the loop is memory-bound.
+/// Total popcount of w[0..nw).
 [[nodiscard]] std::int64_t popcount(const std::uint64_t* w, std::size_t nw);
 
 /// summary[s] bit j = (words[s*64 + j] != 0), for ceil(nw/64) summary

@@ -1,11 +1,19 @@
-// Unit tests for LabeledDigraph: the approximation-graph operations of
-// Algorithm 1 (reset, labeled add, max-merge, purge, prune).
+// Unit tests for LabeledDigraph and the approximation-graph operations
+// of Algorithm 1 that the dense oracle runs over it (reset, labeled
+// add, max-merge, purge, prune).
 #include "graph/labeled_digraph.hpp"
 
 #include <gtest/gtest.h>
 
+#include "oracles/dense_kset.hpp"
+#include "util/metrics.hpp"
+
 namespace sskel {
 namespace {
+
+using oracles::merge_max;
+using oracles::prune_not_reaching;
+using oracles::purge_labels_up_to;
 
 TEST(LabeledDigraphTest, InitialStateIsOwnerOnly) {
   const LabeledDigraph g(6, 2);
@@ -37,7 +45,7 @@ TEST(LabeledDigraphTest, ResetClearsEverything) {
   LabeledDigraph g(4, 0);
   g.set_edge(1, 0, 2);
   g.set_edge(2, 1, 3);
-  g.reset(0);
+  oracles::reset(g, 0);
   EXPECT_EQ(g.nodes(), ProcSet::singleton(4, 0));
   EXPECT_EQ(g.edge_count(), 0);
 }
@@ -50,7 +58,7 @@ TEST(LabeledDigraphTest, MergeMaxTakesNewestLabel) {
   b.set_edge(1, 0, 3);   // older: a's 5 wins
   b.set_edge(2, 0, 6);   // newer: b's 6 wins
   b.set_edge(3, 1, 4);   // new edge
-  a.merge_max(b);
+  merge_max(a, b);
   EXPECT_EQ(a.label(1, 0), 5);
   EXPECT_EQ(a.label(2, 0), 6);
   EXPECT_EQ(a.label(3, 1), 4);
@@ -67,14 +75,14 @@ TEST(LabeledDigraphTest, MergeMaxIsAssociativeInEffect) {
   g3.set_edge(0, 1, 6);
 
   LabeledDigraph left(3, 0);
-  left.merge_max(g1);
-  left.merge_max(g2);
-  left.merge_max(g3);
+  merge_max(left, g1);
+  merge_max(left, g2);
+  merge_max(left, g3);
 
   LabeledDigraph right(3, 0);
-  right.merge_max(g3);
-  right.merge_max(g2);
-  right.merge_max(g1);
+  merge_max(right, g3);
+  merge_max(right, g2);
+  merge_max(right, g1);
 
   EXPECT_EQ(left.label(0, 1), 9);
   EXPECT_EQ(left, right);
@@ -85,7 +93,7 @@ TEST(LabeledDigraphTest, PurgeRemovesOldLabels) {
   g.set_edge(1, 0, 2);
   g.set_edge(2, 0, 5);
   g.set_edge(3, 0, 8);
-  g.purge_labels_up_to(5);  // Line 24 with r - n = 5
+  purge_labels_up_to(g, 5);  // Line 24 with r - n = 5
   EXPECT_FALSE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(2, 0));
   EXPECT_TRUE(g.has_edge(3, 0));
@@ -96,8 +104,8 @@ TEST(LabeledDigraphTest, PurgeRemovesOldLabels) {
 TEST(LabeledDigraphTest, PurgeWithNonpositiveCutoffIsNoop) {
   LabeledDigraph g(4, 0);
   g.set_edge(1, 0, 1);
-  g.purge_labels_up_to(0);
-  g.purge_labels_up_to(-3);
+  purge_labels_up_to(g, 0);
+  purge_labels_up_to(g, -3);
   EXPECT_TRUE(g.has_edge(1, 0));
 }
 
@@ -107,7 +115,7 @@ TEST(LabeledDigraphTest, PruneKeepsNodesReachingOwner) {
   g.set_edge(2, 1, 3);  // 2 -> 1 -> 0: kept
   g.set_edge(0, 3, 3);  // 3 only reachable FROM 0: pruned
   g.set_edge(4, 5, 3);  // disconnected pair: pruned
-  g.prune_not_reaching(0);
+  prune_not_reaching(g, 0);
   EXPECT_EQ(g.nodes(), ProcSet::of(6, {0, 1, 2}));
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_TRUE(g.has_edge(2, 1));
@@ -117,7 +125,7 @@ TEST(LabeledDigraphTest, PruneKeepsNodesReachingOwner) {
 
 TEST(LabeledDigraphTest, PruneKeepsOwnerAlways) {
   LabeledDigraph g(3, 1);
-  g.prune_not_reaching(1);
+  prune_not_reaching(g, 1);
   EXPECT_TRUE(g.has_node(1));
   EXPECT_EQ(g.nodes().count(), 1);
 }
@@ -129,9 +137,11 @@ TEST(LabeledDigraphTest, PruneReturnsKeepSetAndCountsOneFixpoint) {
   g.set_edge(0, 3, 3);
   g.set_edge(4, 5, 3);
 
-  const std::int64_t before = LabeledDigraph::reachability_computations();
-  const ProcSet keep = g.prune_not_reaching(0);
-  EXPECT_EQ(LabeledDigraph::reachability_computations(), before + 1);
+  const std::int64_t before =
+      metrics::total(metrics::Counter::kReachabilityComputations);
+  const ProcSet keep = prune_not_reaching(g, 0);
+  EXPECT_EQ(metrics::total(metrics::Counter::kReachabilityComputations),
+            before + 1);
   EXPECT_EQ(keep, ProcSet::of(6, {0, 1, 2}));
   EXPECT_EQ(g.nodes(), keep);
   EXPECT_FALSE(g.has_edge(0, 3));
@@ -144,7 +154,7 @@ TEST(LabeledDigraphTest, PruneDropsEdgesBetweenKeptAndPruned) {
   g.set_edge(1, 0, 2);
   g.set_edge(0, 2, 2);  // 2 cannot reach 0
   g.set_edge(1, 2, 2);  // edge from kept node into pruned node
-  g.prune_not_reaching(0);
+  prune_not_reaching(g, 0);
   EXPECT_FALSE(g.has_node(2));
   EXPECT_FALSE(g.has_edge(0, 2));
   EXPECT_FALSE(g.has_edge(1, 2));

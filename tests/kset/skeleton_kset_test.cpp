@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "rounds/simulator.hpp"
+#include "util/metrics.hpp"
 
 namespace sskel {
 namespace {
@@ -218,10 +219,11 @@ TEST(SkeletonKSetTest, PostStabilizationRoundsReuseReachability) {
   for (ProcId p = 0; p < 3; ++p) ASSERT_TRUE(view(sim, p).decided());
 
   const std::int64_t fixpoints_before =
-      LabeledDigraph::reachability_computations();
+      metrics::total(metrics::Counter::kReachabilityComputations);
   const std::int64_t hits_before = view(sim, 0).reachability_cache_hits();
   for (int r = 0; r < 6; ++r) sim.step();
-  EXPECT_EQ(LabeledDigraph::reachability_computations(), fixpoints_before);
+  EXPECT_EQ(metrics::total(metrics::Counter::kReachabilityComputations),
+            fixpoints_before);
   EXPECT_EQ(view(sim, 0).reachability_cache_hits(), hits_before + 6);
 }
 
@@ -237,9 +239,11 @@ TEST(SkeletonKSetTest, StructureChangeInvalidatesReachabilityCache) {
   ScheduleSource src({full, full, broken});
   Simulator<SkeletonMessage> sim(src, make_procs(3, {10, 20, 30}));
   for (int r = 0; r < 4; ++r) sim.step();
-  const std::int64_t before = LabeledDigraph::reachability_computations();
+  const std::int64_t before =
+      metrics::total(metrics::Counter::kReachabilityComputations);
   sim.step();  // round 5: purge drops (0 -> 1), structure changes
-  EXPECT_GT(LabeledDigraph::reachability_computations(), before);
+  EXPECT_GT(metrics::total(metrics::Counter::kReachabilityComputations),
+            before);
 }
 
 TEST(SkeletonKSetDeathTest, DecisionAccessorRequiresDecided) {

@@ -3,7 +3,8 @@
 // Each process holds its approximation G_p as an n x n label matrix
 // (LabeledDigraph), broadcasts it whole, and rebuilds it every round
 // by Lines 15-25 verbatim: reset, fresh edges, max-label merge, purge,
-// prune — no structure cache, no interning. The production process
+// prune (the free functions below, over LabeledDigraph's public API)
+// — no structure cache, no interning. The production process
 // (kset/skeleton_kset.hpp) keeps O(n) state and derives G_p from it
 // (DESIGN.md §8.1); state_mismatch() and run_lockstep() below are how
 // the tripwires (tests/kset/compact_kset_test.cpp) and
@@ -15,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/labeled_digraph.hpp"
@@ -27,6 +29,56 @@
 #include "skeleton/lemmas.hpp"
 
 namespace sskel::oracles {
+
+/// Resets g to <{owner}, {}> (Line 15).
+inline void reset(LabeledDigraph& g, ProcId owner) {
+  g = LabeledDigraph(g.n(), owner);
+}
+
+/// Adds all nodes of `other` (Line 18) and raises every edge label to
+/// the maximum of the two graphs (Lines 19-23, folded over the
+/// received graphs one at a time — max is associative, so the fold
+/// equals the paper's batch max over R_{i,j}). Walks only the edges
+/// of `other`.
+inline void merge_max(LabeledDigraph& g, const LabeledDigraph& other) {
+  SSKEL_REQUIRE(g.n() == other.n());
+  for (ProcId q : other.nodes()) {
+    g.add_node(q);
+    for (ProcId p : other.out_edges(q)) {
+      const Round incoming = other.label(q, p);
+      if (incoming > g.label(q, p)) g.set_edge(q, p, incoming);
+    }
+  }
+}
+
+/// Removes every edge with label <= cutoff (Line 24 uses
+/// cutoff = r - n). Nodes are untouched.
+inline void purge_labels_up_to(LabeledDigraph& g, Round cutoff) {
+  if (cutoff <= 0) return;
+  for (ProcId q : g.nodes()) {
+    for (ProcId p : g.out_edges(q)) {
+      if (g.label(q, p) <= cutoff) g.remove_edge(q, p);
+    }
+  }
+}
+
+/// Removes every node (except `owner`) from which `owner` is not
+/// reachable, with all incident edges (Line 25). Returns the kept
+/// node set.
+inline ProcSet prune_not_reaching(LabeledDigraph& g, ProcId owner) {
+  SSKEL_REQUIRE(g.has_node(owner));
+  ProcSet keep = g.reaching_set(owner);
+  if (keep == g.nodes()) return keep;  // every edge joins kept nodes
+  LabeledDigraph kept(g.n(), owner);
+  for (ProcId q : keep) {
+    kept.add_node(q);
+    for (ProcId p : g.out_edges(q)) {
+      if (keep.contains(p)) kept.set_edge(q, p, g.label(q, p));
+    }
+  }
+  g = std::move(kept);
+  return keep;
+}
 
 /// (decide | prop, x_q, G_q) with G_q as a full label matrix.
 struct DenseMessage {
@@ -90,13 +142,13 @@ class DenseKSetProcess final : public Algorithm<DenseMessage> {
         path_ = DecisionPath::kForwarded;
       }
     }
-    g_.reset(id());  // Line 15
+    reset(g_, id());  // Line 15
     for (ProcId q : pt_) {
-      g_.set_edge(q, id(), r);            // Line 17
-      g_.merge_max(inbox.from(q).graph);  // Lines 18-23
+      g_.set_edge(q, id(), r);             // Line 17
+      merge_max(g_, inbox.from(q).graph);  // Lines 18-23
     }
-    g_.purge_labels_up_to(r - n());  // Line 24
-    (void)g_.prune_not_reaching(id());  // Line 25
+    purge_labels_up_to(g_, r - n());      // Line 24
+    (void)prune_not_reaching(g_, id());  // Line 25
     if (!decided_) {  // Line 26
       Value best = kNoValue;  // Line 27
       for (ProcId q : pt_) {

@@ -1,5 +1,5 @@
 // Tests for the HO / RbR-fault-detector correspondences (Eq. (6), (7)).
-#include "predicates/ho_view.hpp"
+#include "oracles/ho_view.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 
 namespace sskel {
 namespace {
+
+using oracles::HoRecorder;
 
 Digraph random_graph(Rng& rng, ProcId n, double density) {
   Digraph g(n);

@@ -6,6 +6,7 @@
 
 #include "adversary/figure1.hpp"
 #include "kset/runner.hpp"
+#include "skeleton/intern.hpp"
 
 namespace sskel {
 namespace {
@@ -154,6 +155,29 @@ TEST_F(MonitorFixture, FlagsEstimateIncrease) {
     if (v.find("Obs.2") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+using LemmaMonitorDeathTest = MonitorFixture;
+
+TEST_F(LemmaMonitorDeathTest, AttachInternRejectsNull) {
+  LemmaMonitor monitor(kN);
+  EXPECT_DEATH(monitor.attach_intern(nullptr), "precondition");
+}
+
+TEST_F(LemmaMonitorDeathTest, AttachInternAfterFirstAnalyticsAborts) {
+  // From round n on, Lemma 5 queries the tracker's SCC analytics, after
+  // which the tracker can no longer switch to an intern table.
+  LemmaMonitor monitor(kN);
+  auto snaps = honest_round1();
+  monitor.observe_round(1, full_graph(), snaps);
+  for (ProcId p = 0; p < kN; ++p) {
+    auto& s = snaps[static_cast<std::size_t>(p)];
+    s.approx.set_edge(0, p, 2);
+    s.approx.set_edge(1, p, 2);
+  }
+  monitor.observe_round(kN, full_graph(), snaps);
+  StructureInternTable table;
+  EXPECT_DEATH(monitor.attach_intern(&table), "precondition");
 }
 
 }  // namespace

@@ -171,20 +171,22 @@ TEST(ProcSetAccounting, GraphCountersAddUpAcrossThreads) {
     const Digraph copy = g;
     LabeledDigraph lg(16, 0);
     lg.set_edge(1, 0, 3);
-    (void)lg.prune_not_reaching(0);
+    (void)lg.reaching_set(0);
     (void)lg.strongly_connected();
   };
+  const auto fixpoints = [] {
+    return metrics::total(metrics::Counter::kReachabilityComputations);
+  };
   const std::int64_t graphs0 = Digraph::graphs_constructed();
-  const std::int64_t fixpoints0 = LabeledDigraph::reachability_computations();
+  const std::int64_t fixpoints0 = fixpoints();
   work();
   const std::int64_t graphs_per = Digraph::graphs_constructed() - graphs0;
-  const std::int64_t fixpoints_per =
-      LabeledDigraph::reachability_computations() - fixpoints0;
+  const std::int64_t fixpoints_per = fixpoints() - fixpoints0;
   ASSERT_GT(graphs_per, 0);
   ASSERT_GT(fixpoints_per, 0);
 
   const std::int64_t graphs1 = Digraph::graphs_constructed();
-  const std::int64_t fixpoints1 = LabeledDigraph::reachability_computations();
+  const std::int64_t fixpoints1 = fixpoints();
   std::vector<std::thread> threads;
   for (int w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&work, w] {
@@ -194,8 +196,7 @@ TEST(ProcSetAccounting, GraphCountersAddUpAcrossThreads) {
   join_all(threads);
   const std::int64_t units = kWorkers * (kWorkers + 1) / 2;  // 1 + 2 + 3
   EXPECT_EQ(Digraph::graphs_constructed() - graphs1, units * graphs_per);
-  EXPECT_EQ(LabeledDigraph::reachability_computations() - fixpoints1,
-            units * fixpoints_per);
+  EXPECT_EQ(fixpoints() - fixpoints1, units * fixpoints_per);
 }
 
 }  // namespace

@@ -1,10 +1,7 @@
-// SIMD-vs-scalar equivalence for the word kernels.
-//
-// Every dispatch tier (scalar, AVX2, AVX-512 — whatever this CPU
-// supports) must compute bit-identical results and identical change
-// verdicts on the same inputs, including the ragged tails the vector
-// paths handle with scalar cleanup. Reference results come from a
-// naive per-word loop written here, independent of the kernels.
+// The word kernels against a naive per-word loop written here,
+// independent of the kernels: bit-identical results and identical
+// change verdicts on the same inputs, over empty, single-word, ragged
+// and bulk spans.
 #include "util/word_kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -33,102 +30,85 @@ Words random_words(Rng& rng, std::size_t nw, int mode) {
   return w;
 }
 
-std::vector<wk::Simd> supported_tiers() {
-  std::vector<wk::Simd> tiers = {wk::Simd::kScalar};
-  if (wk::supported(wk::Simd::kAvx2)) tiers.push_back(wk::Simd::kAvx2);
-  if (wk::supported(wk::Simd::kAvx512)) tiers.push_back(wk::Simd::kAvx512);
-  return tiers;
-}
-
-/// Span lengths spanning the interesting shapes: empty, sub-vector,
-/// one vector, ragged tails around the 4- and 8-word strides, and a
-/// bulk span (1024 words = one n = 65,536 row).
+/// Span lengths spanning the interesting shapes: empty, one word,
+/// ragged lengths around the widths a vectorized loop strides by, and
+/// a bulk span (1024 words = one n = 65,536 row).
 const std::size_t kSpans[] = {0, 1, 3, 4, 7, 8, 9, 31, 64, 129, 1024};
 
-TEST(WordKernelsTest, AllTiersMatchNaiveReference) {
-  for (const wk::Simd tier : supported_tiers()) {
-    const wk::Kernels& k = wk::ops_for(tier);
-    Rng rng(mix_seed(0x5149D, static_cast<std::uint64_t>(tier)));
-    for (const std::size_t nw : kSpans) {
-      for (int mode = 0; mode < 4; ++mode) {
-        const Words a0 = random_words(rng, nw, mode);
-        const Words b = random_words(rng, nw, (mode + 1) % 4);
-        const Words c = random_words(rng, nw, 3);
+TEST(WordKernelsTest, KernelsMatchNaiveReference) {
+  Rng rng(0x5149D);
+  for (const std::size_t nw : kSpans) {
+    for (int mode = 0; mode < 4; ++mode) {
+      const Words a0 = random_words(rng, nw, mode);
+      const Words b = random_words(rng, nw, (mode + 1) % 4);
+      const Words c = random_words(rng, nw, 3);
 
-        // and_inplace / and_changed / and_diff against one reference.
-        Words ref = a0;
-        Words ref_diff(nw, 0);
-        std::uint64_t ref_removed = 0;
-        for (std::size_t i = 0; i < nw; ++i) {
-          ref_diff[i] = ref[i] & ~b[i];
-          ref_removed |= ref_diff[i];
-          ref[i] &= b[i];
-        }
-        Words d1 = a0;
-        k.and_inplace(d1.data(), b.data(), nw);
-        EXPECT_EQ(d1, ref) << wk::name(tier) << " nw=" << nw;
-
-        Words d2 = a0;
-        const std::uint64_t ch = k.and_changed(d2.data(), b.data(), nw);
-        EXPECT_EQ(d2, ref);
-        EXPECT_EQ(ch != 0, ref_removed != 0);
-
-        Words d3 = a0;
-        Words diff(nw, ~std::uint64_t{0});  // must be fully overwritten
-        const std::uint64_t rm = k.and_diff(d3.data(), b.data(), diff.data(),
-                                            nw);
-        EXPECT_EQ(d3, ref);
-        EXPECT_EQ(diff, ref_diff);
-        EXPECT_EQ(rm != 0, ref_removed != 0);
-
-        // or_inplace / or_and / andnot_inplace.
-        Words r_or = a0;
-        for (std::size_t i = 0; i < nw; ++i) r_or[i] |= b[i];
-        Words d4 = a0;
-        k.or_inplace(d4.data(), b.data(), nw);
-        EXPECT_EQ(d4, r_or);
-
-        Words r_oa = a0;
-        for (std::size_t i = 0; i < nw; ++i) r_oa[i] |= b[i] & c[i];
-        Words d5 = a0;
-        k.or_and(d5.data(), b.data(), c.data(), nw);
-        EXPECT_EQ(d5, r_oa);
-
-        Words r_an = a0;
-        for (std::size_t i = 0; i < nw; ++i) r_an[i] &= ~b[i];
-        Words d6 = a0;
-        k.andnot_inplace(d6.data(), b.data(), nw);
-        EXPECT_EQ(d6, r_an);
-
-        // subset / intersects predicates.
-        bool ref_subset = true;
-        bool ref_intersects = false;
-        for (std::size_t i = 0; i < nw; ++i) {
-          if ((a0[i] & ~b[i]) != 0) ref_subset = false;
-          if ((a0[i] & b[i]) != 0) ref_intersects = true;
-        }
-        EXPECT_EQ(k.subset(a0.data(), b.data(), nw), ref_subset);
-        EXPECT_EQ(k.intersects(a0.data(), b.data(), nw), ref_intersects);
+      // and_changed / and_diff against one reference.
+      Words ref = a0;
+      Words ref_diff(nw, 0);
+      std::uint64_t ref_removed = 0;
+      for (std::size_t i = 0; i < nw; ++i) {
+        ref_diff[i] = ref[i] & ~b[i];
+        ref_removed |= ref_diff[i];
+        ref[i] &= b[i];
       }
+      Words d1 = a0;
+      const std::uint64_t ch = wk::and_changed(d1.data(), b.data(), nw);
+      EXPECT_EQ(d1, ref) << "nw=" << nw;
+      EXPECT_EQ(ch != 0, ref_removed != 0);
+
+      Words d2 = a0;
+      Words diff(nw, ~std::uint64_t{0});  // must be fully overwritten
+      const std::uint64_t rm =
+          wk::and_diff(d2.data(), b.data(), diff.data(), nw);
+      EXPECT_EQ(d2, ref);
+      EXPECT_EQ(diff, ref_diff);
+      EXPECT_EQ(rm != 0, ref_removed != 0);
+
+      // or_inplace / or_and / andnot_inplace.
+      Words r_or = a0;
+      for (std::size_t i = 0; i < nw; ++i) r_or[i] |= b[i];
+      Words d3 = a0;
+      wk::or_inplace(d3.data(), b.data(), nw);
+      EXPECT_EQ(d3, r_or);
+
+      Words r_oa = a0;
+      for (std::size_t i = 0; i < nw; ++i) r_oa[i] |= b[i] & c[i];
+      Words d4 = a0;
+      wk::or_and(d4.data(), b.data(), c.data(), nw);
+      EXPECT_EQ(d4, r_oa);
+
+      Words r_an = a0;
+      for (std::size_t i = 0; i < nw; ++i) r_an[i] &= ~b[i];
+      Words d5 = a0;
+      wk::andnot_inplace(d5.data(), b.data(), nw);
+      EXPECT_EQ(d5, r_an);
+
+      // subset / intersects predicates.
+      bool ref_subset = true;
+      bool ref_intersects = false;
+      for (std::size_t i = 0; i < nw; ++i) {
+        if ((a0[i] & ~b[i]) != 0) ref_subset = false;
+        if ((a0[i] & b[i]) != 0) ref_intersects = true;
+      }
+      EXPECT_EQ(wk::subset(a0.data(), b.data(), nw), ref_subset);
+      EXPECT_EQ(wk::intersects(a0.data(), b.data(), nw), ref_intersects);
     }
   }
 }
 
 TEST(WordKernelsTest, PredicatesShortCircuitCorrectlyOnLateDifferences) {
-  // A difference only in the last word of a long span: the vector
-  // paths must not declare the verdict early.
-  for (const wk::Simd tier : supported_tiers()) {
-    const wk::Kernels& k = wk::ops_for(tier);
-    Words a(129, 0);
-    Words b(129, ~std::uint64_t{0});
-    EXPECT_TRUE(k.subset(a.data(), b.data(), a.size()));
-    EXPECT_FALSE(k.intersects(a.data(), b.data(), a.size()));
-    a.back() = 1;
-    b.back() = 0;
-    EXPECT_FALSE(k.subset(a.data(), b.data(), a.size())) << wk::name(tier);
-    b.back() = 1;
-    EXPECT_TRUE(k.intersects(a.data(), b.data(), a.size())) << wk::name(tier);
-  }
+  // A difference only in the last word of a long span: the whole-span
+  // reductions must still see it.
+  Words a(129, 0);
+  Words b(129, ~std::uint64_t{0});
+  EXPECT_TRUE(wk::subset(a.data(), b.data(), a.size()));
+  EXPECT_FALSE(wk::intersects(a.data(), b.data(), a.size()));
+  a.back() = 1;
+  b.back() = 0;
+  EXPECT_FALSE(wk::subset(a.data(), b.data(), a.size()));
+  b.back() = 1;
+  EXPECT_TRUE(wk::intersects(a.data(), b.data(), a.size()));
 }
 
 TEST(WordKernelsTest, PopcountAndSummary) {
@@ -153,40 +133,6 @@ TEST(WordKernelsTest, PopcountAndSummary) {
       EXPECT_EQ((summary[i / 64] >> (i % 64)) & 1u, 0u);
     }
   }
-}
-
-TEST(WordKernelsTest, ParseRecognizesTierNamesAndAuto) {
-  wk::Simd out = wk::Simd::kScalar;
-  EXPECT_TRUE(wk::parse("auto", out));
-  EXPECT_EQ(out, wk::best_supported());
-  EXPECT_TRUE(wk::parse("scalar", out));
-  EXPECT_EQ(out, wk::Simd::kScalar);
-  if (wk::supported(wk::Simd::kAvx2)) {
-    EXPECT_TRUE(wk::parse("avx2", out));
-    EXPECT_EQ(out, wk::Simd::kAvx2);
-  }
-  if (wk::supported(wk::Simd::kAvx512)) {
-    EXPECT_TRUE(wk::parse("avx512", out));
-    EXPECT_EQ(out, wk::Simd::kAvx512);
-  }
-  out = wk::Simd::kAvx2;
-  EXPECT_FALSE(wk::parse("sse9", out));
-  EXPECT_EQ(out, wk::Simd::kAvx2);  // untouched on unknown text
-  EXPECT_FALSE(wk::parse("", out));
-}
-
-TEST(WordKernelsTest, ForceSwitchesActiveTier) {
-  const wk::Simd original = wk::active();
-  wk::force(wk::Simd::kScalar);
-  EXPECT_EQ(wk::active(), wk::Simd::kScalar);
-  // The active table must be the scalar one (spot check one kernel).
-  Words a = {0b1100, 0b1010};
-  const Words b = {0b0110, 0b0110};
-  wk::ops().and_inplace(a.data(), b.data(), a.size());
-  EXPECT_EQ(a[0], 0b0100u);
-  EXPECT_EQ(a[1], 0b0010u);
-  wk::force(original);
-  EXPECT_EQ(wk::active(), original);
 }
 
 }  // namespace
