@@ -5,9 +5,13 @@
 // same k-set run then executes on the ring-plane driver and on the
 // event-queue oracle (tests/oracles/event_queue_driver.hpp). Reports
 // must be bit-equal (DESIGN.md §12) and the full captures —
-// broadcasts, delivery fates, closes — identical. Tiny ring depths are
-// part of the search space deliberately: backpressure and frag
-// reassembly must not change observable behaviour.
+// broadcasts, delivery fates, closes — identical. The driver runs each
+// input twice, with a capture sink and without one: the untraced run
+// schedules no capture events and draws late arrivals' seqs from
+// take_seq(), and must still give the same report, message counters
+// and clock. Tiny ring depths are part of the search space
+// deliberately: backpressure and frag reassembly must not change
+// observable behaviour.
 #include <cstdint>
 #include <vector>
 
@@ -32,25 +36,49 @@ struct PlaneRun {
   SimTime wall_clock = 0;
 };
 
+/// One run of `Driver`; with `traced` a TraceRecorder captures it.
 template <typename Driver>
-PlaneRun run_plane(const LinkMatrix& links, const NetKSetConfig& config) {
+PlaneRun run_plane(const LinkMatrix& links, const NetKSetConfig& config,
+                   bool traced) {
   const ProcId n = links.n();
   Driver driver(config.net, links, make_kset_processes(n, config.run));
   TraceRecorder recorder(n, driver.trace_source(), config.net.seed,
                          config.net.round_duration);
-  driver.set_trace_sink(&recorder, [](const SkeletonMessage& m,
-                                      std::vector<std::uint8_t>& out) {
-    encode_message(m, out);
-  });
-  recorder.attach(driver);
+  if (traced) {
+    driver.set_trace_sink(&recorder, [](const SkeletonMessage& m,
+                                        std::vector<std::uint8_t>& out) {
+      encode_message(m, out);
+    });
+    recorder.attach(driver);
+  }
   PlaneRun out;
   out.report = run_kset_on_engine(driver, config.run);
-  out.capture = recorder.finish(driver.trace());
+  if (traced) out.capture = recorder.finish(driver.trace());
   out.delivered = driver.delivered_messages();
   out.late = driver.late_messages();
   out.lost = driver.lost_messages();
   out.wall_clock = driver.now();
   return out;
+}
+
+/// The run-level fields every plane and trace mode must agree on.
+void require_same_run(const PlaneRun& a, const PlaneRun& b) {
+  SSKEL_REQUIRE(a.report.outcomes.size() == b.report.outcomes.size());
+  for (std::size_t p = 0; p < a.report.outcomes.size(); ++p) {
+    SSKEL_REQUIRE(a.report.outcomes[p].decided ==
+                  b.report.outcomes[p].decided);
+    SSKEL_REQUIRE(a.report.outcomes[p].decision ==
+                  b.report.outcomes[p].decision);
+    SSKEL_REQUIRE(a.report.outcomes[p].decision_round ==
+                  b.report.outcomes[p].decision_round);
+  }
+  SSKEL_REQUIRE(a.report.rounds_executed == b.report.rounds_executed);
+  SSKEL_REQUIRE(a.report.final_skeleton == b.report.final_skeleton);
+  SSKEL_REQUIRE(a.report.total_messages == b.report.total_messages);
+  SSKEL_REQUIRE(a.delivered == b.delivered);
+  SSKEL_REQUIRE(a.late == b.late);
+  SSKEL_REQUIRE(a.lost == b.lost);
+  SSKEL_REQUIRE(a.wall_clock == b.wall_clock);
 }
 
 }  // namespace
@@ -93,27 +121,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   links.upgrade_to_timely(stable, lo, hi);
 
   config.net.ring_depth = input.in_range(0, 3);
-  const PlaneRun ring =
-      run_plane<NetRoundDriver<SkeletonMessage>>(links, config);
-  const PlaneRun eq =
-      run_plane<oracles::EventQueueDriver<SkeletonMessage>>(links, config);
+  using Ring = NetRoundDriver<SkeletonMessage>;
+  const PlaneRun ring = run_plane<Ring>(links, config, /*traced=*/true);
+  const PlaneRun untraced = run_plane<Ring>(links, config, /*traced=*/false);
+  const PlaneRun eq = run_plane<oracles::EventQueueDriver<SkeletonMessage>>(
+      links, config, /*traced=*/true);
 
-  SSKEL_REQUIRE(ring.report.outcomes.size() == eq.report.outcomes.size());
-  for (std::size_t p = 0; p < ring.report.outcomes.size(); ++p) {
-    SSKEL_REQUIRE(ring.report.outcomes[p].decided ==
-                  eq.report.outcomes[p].decided);
-    SSKEL_REQUIRE(ring.report.outcomes[p].decision ==
-                  eq.report.outcomes[p].decision);
-    SSKEL_REQUIRE(ring.report.outcomes[p].decision_round ==
-                  eq.report.outcomes[p].decision_round);
-  }
-  SSKEL_REQUIRE(ring.report.rounds_executed == eq.report.rounds_executed);
-  SSKEL_REQUIRE(ring.report.final_skeleton == eq.report.final_skeleton);
-  SSKEL_REQUIRE(ring.report.total_messages == eq.report.total_messages);
-  SSKEL_REQUIRE(ring.delivered == eq.delivered);
-  SSKEL_REQUIRE(ring.late == eq.late);
-  SSKEL_REQUIRE(ring.lost == eq.lost);
-  SSKEL_REQUIRE(ring.wall_clock == eq.wall_clock);
+  require_same_run(ring, eq);
+  require_same_run(untraced, eq);
+  SSKEL_REQUIRE(untraced.report == ring.report);
 
   RunCapture rebased = ring.capture;
   rebased.header.source = TraceSource::kNetEventQueue;

@@ -26,12 +26,21 @@
 // recipient closes a round — timeliness is *analytic* (the descriptor
 // carries the arrival time; (*) is evaluated against the receiver's
 // deadline), so no per-message event, closure, or allocation exists on
-// the path. Only round closes and the rare late arrivals remain on the
-// event queue, which is retained purely for timer semantics. If a
+// the path. A drain deposits by reference: the recipient's inbox
+// stores a pointer to the dcache slot, never a copy. That is safe
+// because sender p's round-r slot is rewritten only at start(p, r+2),
+// which follows every deadline(q, r) since skews stay below D. If a
 // recipient's ring runs out of credits (tiny test depths), the driver
 // performs an early opportunistic drain — semantics-preserving, since
 // deposits are keyed by sender and timeliness is analytic — and counts
 // a credit stall.
+//
+// Late arrivals are not timers either. A late message records the
+// (arrival, seq) key its timer event would have had, and
+// late_messages() counts the keys that precede the last executed
+// close; each completed round settles them into a running total. The
+// round closes run off a precomputed calendar, so an untraced run's
+// event queue holds only the n bootstrap starts.
 //
 // The specification of this plane is the event-queue oracle
 // (tests/oracles/event_queue_driver.hpp): the same synchronizer with
@@ -160,8 +169,17 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   [[nodiscard]] SimTime now() const { return queue_.now(); }
 
   /// Number of round-tagged messages that arrived after their deadline
-  /// and were discarded (the communication-closure drop path).
-  [[nodiscard]] std::int64_t late_messages() const { return late_; }
+  /// and were discarded (the communication-closure drop path), as of
+  /// the last executed close: a late message counts once the (time,
+  /// seq) key of its arrival precedes that close's key, exactly when
+  /// the event-queue oracle's delivery event would have run.
+  [[nodiscard]] std::int64_t late_messages() const {
+    std::int64_t total = late_;
+    for (const LateKey& key : late_keys_) {
+      if (before_last_close(key)) ++total;
+    }
+    return total;
+  }
   [[nodiscard]] std::int64_t lost_messages() const { return lost_; }
 
   /// Messages that arrived on time, *as of the current cut*. The ring
@@ -217,11 +235,12 @@ class NetRoundDriver final : public RoundEngine<Msg> {
 
   /// Installs a capture sink for the delivery/close schedule (null
   /// detaches). Must be called before the first step(). With a sink
-  /// installed the driver additionally schedules one no-op trace
-  /// event per on-time/tie message at its arrival instant — matching
-  /// the event-queue oracle's per-delivery events one for one — so the
-  /// two captures carry identical delivery/close orderings and
-  /// identical event-queue sequence numbers. Tracing is not the hot
+  /// installed the driver additionally schedules one capture event
+  /// per on-time, tie or late message at its arrival instant —
+  /// matching the event-queue oracle's per-delivery events one for one
+  /// — so the two captures carry identical delivery/close orderings
+  /// and identical event-queue sequence numbers. A late message's key
+  /// then takes the seq of its capture event. Tracing is not the hot
   /// path; the zero-event delivery property holds whenever no sink is
   /// attached. When `encoder` is provided the sink also receives every
   /// broadcast's encoded payload.
@@ -277,6 +296,8 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       if (!queued || due < head_time ||
           (due == head_time && close_seq_[pi] < head_seq)) {
         queue_.advance_now(due);
+        last_close_time_ = due;
+        last_close_seq_ = close_seq_[pi];
         const Round r = close_round_[pi];
         next_close_ = (next_close_ + 1) % close_order_.size();
         close_round(p, r);
@@ -300,7 +321,8 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   /// per sender (round parity) suffice: the slot for round r is
   /// overwritten at start(p, r+2), which strictly follows every
   /// consumption of round r (deadline(q, r) < start(p, r+2) because
-  /// skews stay below D).
+  /// skews stay below D). Inboxes hold pointers into these slots, so
+  /// this bound is what keeps every deposit alive until its close.
   [[nodiscard]] std::uint32_t dcache_slot(ProcId p, Round r) const {
     return static_cast<std::uint32_t>(
         2 * static_cast<std::size_t>(p) +
@@ -320,15 +342,18 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     return from > to;
   }
 
-  /// Count of one on-time message: eager when its arrival is already
-  /// in the past (any future cut includes it), deferred to the
-  /// analytic accessor otherwise.
-  void count_delivery(SimTime arrival, Round r) {
-    if (arrival <= queue_.now()) {
-      ++delivered_;
-    } else {
-      future_counts_.push_back(FutureCount{arrival, r});
-    }
+  /// A late message not yet settled into late_: the (time, seq) key
+  /// its timer event would have had.
+  struct LateKey {
+    SimTime arrival = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// The event-queue order of a late arrival against the last executed
+  /// close: true iff its timer event would already have run.
+  [[nodiscard]] bool before_last_close(const LateKey& key) const {
+    return key.arrival < last_close_time_ ||
+           (key.arrival == last_close_time_ && key.seq < last_close_seq_);
   }
 
   /// Publishes one delivery descriptor into the recipient's ring,
@@ -373,7 +398,11 @@ class NetRoundDriver final : public RoundEngine<Msg> {
         slot_deadline = deadline(q, r);
       }
       SSKEL_ASSERT(frag.tsorig <= slot_deadline);
-      if (frag.tsorig <= now) {  // count_delivery, against the hoisted clock
+      // Count eagerly only an arrival strictly in the past: one at the
+      // current instant may be a next-round delivery whose event the
+      // current close precedes, so it waits for the accessor's tie
+      // rule like any future arrival.
+      if (frag.tsorig < now) {
         ++delivered_;
       } else {
         future_counts_.push_back(FutureCount{frag.tsorig, r});
@@ -381,7 +410,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       const ProcId from = sig_from(frag.sig);
       const Msg& msg = dcache_[frag.slot];
       slot->senders.insert(from);
-      slot->messages[static_cast<std::size_t>(from)] = msg;
+      slot->messages[static_cast<std::size_t>(from)] = &msg;
       if (this->sizer_) account_delivery(r, msg);
     }
     drain_fseq_[static_cast<std::size_t>(q)].publish(cursor.seq);
@@ -412,7 +441,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     // delivered_, matching the network-accounting convention).
     RoundInboxSlot<Msg>& own = inboxes_.acquire(p, r);
     own.senders.insert(p);
-    own.messages[static_cast<std::size_t>(p)] = msg;
+    own.messages[static_cast<std::size_t>(p)] = &msg;
     account_delivery(r, msg);
 
     // now() is loop-invariant (schedule/take_seq never move the
@@ -436,21 +465,25 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       const SimTime arrival = send_time + delay;
       const SimTime due = deadline(q, r);
       if (arrival > due) {
-        // Late: never enters the ring. The timer event reproduces the
-        // event-queue oracle's counting cutoff exactly — a late
-        // arrival past the run's final event stays uncounted there
-        // too.
-        queue_.schedule(arrival, [this, p, q, r] {
-          ++late_;
-          if (sink_ != nullptr) {
-            sink_->on_delivery(DeliveryKind::kLate, r, p, q, queue_.now());
-          }
-        });
+        // Late: never enters the ring, and schedules nothing unless a
+        // capture needs the event. Its (arrival, seq) key is the one
+        // the oracle's delivery event gets, so late_messages() applies
+        // the oracle's counting cutoff exactly — a late arrival past
+        // the run's final close stays uncounted there too.
+        const std::uint64_t seq =
+            sink_ == nullptr
+                ? queue_.take_seq()
+                : queue_.schedule(arrival, [this, p, q, r] {
+                    sink_->on_delivery(DeliveryKind::kLate, r, p, q,
+                                       queue_.now());
+                  });
+        late_keys_.push_back(LateKey{arrival, seq});
       } else if (arrival == due && close_precedes_delivery_at_tie(p, q)) {
         // The event-queue oracle runs the close first and the
         // delivery into a dead inbox right after: counted and
-        // byte-accounted, never consumed.
-        count_delivery(arrival, r);
+        // byte-accounted, never consumed. The arrival is D + skew(q) -
+        // skew(p) > 0 ahead, so its count waits for the accessor.
+        future_counts_.push_back(FutureCount{arrival, r});
         account_delivery(r, msg);
         if (sink_ != nullptr) schedule_trace_delivery(p, q, r, arrival, true);
       } else {
@@ -459,8 +492,8 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       }
     }
 
-    // Register the close on the calendar (seq keeps the FIFO
-    // interleave with any late timers queued above).
+    // Register the close on the calendar (its seq keeps the FIFO
+    // interleave with the late keys and capture events drawn above).
     const std::size_t pi = static_cast<std::size_t>(p);
     close_time_[pi] = deadline(p, r);
     close_seq_[pi] = queue_.take_seq();
@@ -578,6 +611,12 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       ++derived_rounds_;
       std::erase_if(pending_rounds_,
                     [r](const PendingRound& pg) { return pg.round == r; });
+      // Settle the late arrivals this cut has passed.
+      std::erase_if(late_keys_, [this](const LateKey& key) {
+        if (!before_last_close(key)) return false;
+        ++late_;
+        return true;
+      });
     }
   }
 
@@ -610,6 +649,10 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   std::vector<std::uint64_t> close_seq_;
   std::vector<Round> close_round_;
   std::size_t next_close_ = 0;
+  /// (time, seq) key of the last executed close; -1 = none yet.
+  SimTime last_close_time_ = -1;
+  std::uint64_t last_close_seq_ = 0;
+  std::vector<LateKey> late_keys_;
   std::vector<FutureCount> future_counts_;
   std::vector<PendingRound> pending_rounds_;
   /// Retired round records (graph reset, rows re-zeroed), ready for

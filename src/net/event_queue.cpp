@@ -5,11 +5,13 @@
 
 namespace sskel {
 
-void EventQueue::schedule(SimTime t, Handler fn) {
+std::uint64_t EventQueue::schedule(SimTime t, Handler fn) {
   SSKEL_REQUIRE(t >= now_);
   SSKEL_REQUIRE(static_cast<bool>(fn));
-  heap_.push_back(Entry{t, next_seq_++, std::move(fn)});
+  const std::uint64_t seq = next_seq_++;
+  heap_.push_back(Entry{t, seq, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return seq;
 }
 
 bool EventQueue::step() {

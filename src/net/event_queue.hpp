@@ -24,15 +24,17 @@ namespace sskel {
 
 class EventQueue {
  public:
-  /// Capacity covers the driver's delivery closures (a this-pointer,
-  /// two ProcIds, a Round, and a payload slot index) with headroom for
-  /// test lambdas; anything larger fails to compile at the schedule
-  /// call site rather than silently reintroducing heap traffic.
+  /// Capacity covers the capture events of the net driver and the
+  /// delivery events of its event-queue oracle (a this-pointer, two
+  /// ProcIds, a Round and a flag) with headroom for test lambdas;
+  /// anything larger fails to compile at the schedule call site rather
+  /// than silently reintroducing heap traffic.
   static constexpr std::size_t kHandlerCapacity = 48;
   using Handler = InlineCallable<kHandlerCapacity>;
 
-  /// Schedules `fn` at absolute time `t` (>= now).
-  void schedule(SimTime t, Handler fn);
+  /// Schedules `fn` at absolute time `t` (>= now); returns the event's
+  /// tie-breaking seq, so a caller can place other keys relative to it.
+  std::uint64_t schedule(SimTime t, Handler fn);
 
   /// Current simulated time (time of the last executed event).
   [[nodiscard]] SimTime now() const { return now_; }

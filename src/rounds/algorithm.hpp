@@ -15,7 +15,7 @@
 
 #include <bit>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/proc_set.hpp"
 #include "util/types.hpp"
@@ -24,18 +24,25 @@ namespace sskel {
 
 /// The messages a process received in one round, indexed by sender.
 /// `senders` is exactly HO(p, r) for the receiving process p; for a
-/// sender q in `senders`, `from(q)` is q's round message.
+/// sender q in `senders`, `from(q)` is q's round message. The inbox is
+/// a view: `messages[q]` points at q's round message wherever the
+/// engine keeps it (the simulator's outbox, the net driver's dcache),
+/// so delivering a message copies nothing. Entries of non-senders are
+/// never read.
 template <typename Msg>
 class Inbox {
  public:
-  Inbox(const ProcSet& senders, const std::vector<Msg>& all_messages)
-      : senders_(senders), all_(all_messages) {}
+  Inbox(const ProcSet& senders, std::span<const Msg* const> messages)
+      : senders_(senders), messages_(messages.data()) {
+    SSKEL_REQUIRE(messages.size() ==
+                  static_cast<std::size_t>(senders.universe()));
+  }
 
   [[nodiscard]] const ProcSet& senders() const { return senders_; }
 
   [[nodiscard]] const Msg& from(ProcId q) const {
     SSKEL_REQUIRE(senders_.contains(q));
-    return all_[static_cast<std::size_t>(q)];
+    return *messages_[static_cast<std::size_t>(q)];
   }
 
   /// Batch consumption: fn(q, msg) for every sender in ascending id
@@ -53,14 +60,14 @@ class Inbox {
         const std::size_t i =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        fn(static_cast<ProcId>(i), all_[i]);
+        fn(static_cast<ProcId>(i), *messages_[i]);
       }
     }
   }
 
  private:
   const ProcSet& senders_;
-  const std::vector<Msg>& all_;
+  const Msg* const* messages_;
 };
 
 /// A deterministic round-based process. One instance per process id.

@@ -5,12 +5,14 @@
 // most two rounds live per process: its current round r and round
 // r + 1, which early-clock peers may already be sending. InboxBuffer
 // exploits that bound with exactly two parity-indexed slots per
-// process, allocated once for the whole run. Acquiring a slot for a
-// new round resets its sender set but deliberately leaves the message
-// array untouched: Inbox<Msg>::from() refuses senders outside HO(p,r)
-// (rounds/algorithm.hpp), so stale entries are unreachable, and the
-// per-round n-element message reallocation the event-queue driver used
-// to pay disappears from the hot path.
+// process, allocated once for the whole run. A slot holds no messages:
+// it keeps the sender set and one pointer per sender into wherever the
+// substrate keeps the payload (the net driver's parity-keyed dcache),
+// and the substrate guarantees the payload outlives the round's
+// consumption. Acquiring a slot for a new round resets its sender set
+// and leaves the pointer table untouched: Inbox<Msg> never reads the
+// entry of a sender outside HO(p, r) (rounds/algorithm.hpp), so stale
+// pointers are unreachable.
 #pragma once
 
 #include <vector>
@@ -22,12 +24,12 @@
 namespace sskel {
 
 /// One process's inbox for one live round: the sender set (exactly
-/// HO(p, r) so far) plus messages indexed by sender.
+/// HO(p, r) so far) plus, per sender, a pointer to its round message.
 template <typename Msg>
 struct RoundInboxSlot {
   Round round = 0;  // 0 = never acquired (rounds are 1-based)
   ProcSet senders;
-  std::vector<Msg> messages;
+  std::vector<const Msg*> messages;
 };
 
 /// Two reusable inbox slots per process, keyed by round parity.
@@ -41,7 +43,7 @@ class InboxBuffer {
     slots_.resize(2 * static_cast<std::size_t>(n));
     for (RoundInboxSlot<Msg>& slot : slots_) {
       slot.senders = ProcSet(n);
-      slot.messages.assign(static_cast<std::size_t>(n), Msg{});
+      slot.messages.assign(static_cast<std::size_t>(n), nullptr);
     }
   }
 

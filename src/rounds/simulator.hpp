@@ -16,7 +16,8 @@
 // Hot path: the round graph and the per-process outboxes are reused
 // across rounds — GraphSource::graph_into writes G^r into the same
 // Digraph every round, so a steady-state round performs no graph
-// allocations.
+// allocations — and every inbox reads the outbox through one pointer
+// table built at construction, so no message is copied.
 #pragma once
 
 #include <memory>
@@ -47,6 +48,11 @@ class Simulator final : public RoundEngine<Msg> {
       SSKEL_REQUIRE(processes_[i]->id() == static_cast<ProcId>(i));
     }
     outbox_.resize(processes_.size());
+    // The inbox view reads the outbox in place: one pointer per
+    // sender, fixed for the simulator's lifetime (outbox_ never
+    // reallocates).
+    outbox_view_.reserve(outbox_.size());
+    for (const Msg& msg : outbox_) outbox_view_.push_back(&msg);
   }
 
   [[nodiscard]] ProcId n() const override { return source_->n(); }
@@ -105,7 +111,7 @@ class Simulator final : public RoundEngine<Msg> {
           stats.max_message_bytes = std::max(stats.max_message_bytes, bytes);
         }
       }
-      const Inbox<Msg> inbox(senders, outbox_);
+      const Inbox<Msg> inbox(senders, outbox_view_);
       processes_[static_cast<std::size_t>(p)]->transition(r, inbox);
     }
     this->trace_.record(stats);
@@ -119,6 +125,7 @@ class Simulator final : public RoundEngine<Msg> {
   GraphSource* source_;  // non-owning; rebound by reset()
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Msg> outbox_;
+  std::vector<const Msg*> outbox_view_;  // &outbox_[q], the inbox table
   Digraph graph_;
   Round round_ = 0;
 };

@@ -83,6 +83,21 @@ TEST(EventQueueTest, PeekKeyExposesEarliestTimeAndSeq) {
   EXPECT_EQ(seq, 0u);
 }
 
+TEST(EventQueueTest, ScheduleAndTakeSeqDrawFromOneCounter) {
+  // The ring driver keys late arrivals by the seq of their capture
+  // event when tracing and by take_seq() otherwise; both must come
+  // from the same counter so the keys interleave with the closes'.
+  EventQueue q;
+  EXPECT_EQ(q.schedule(10, [] {}), 0u);
+  EXPECT_EQ(q.take_seq(), 1u);
+  EXPECT_EQ(q.schedule(5, [] {}), 2u);
+  SimTime t = 0;
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(q.peek_key(t, seq));
+  EXPECT_EQ(t, 5);
+  EXPECT_EQ(seq, 2u);
+}
+
 TEST(EventQueueTest, ExternalTimerInterleavesByTimeSeqKey) {
   // The ring driver's calendar discipline, in miniature: an external
   // timer draws its seq at registration time, compares against

@@ -5,8 +5,8 @@
 //     *identical* captures — not just identical reports: same
 //     broadcasts, same delivery fates in the same schedule order, same
 //     closes. The driver earns this by scheduling one stand-in trace
-//     event per on-time/tie message at its arrival instant, mirroring
-//     the oracle's per-delivery events.
+//     event per on-time, tie or late message at its arrival instant,
+//     mirroring the oracle's per-delivery events.
 //  2. A net capture replays bit-exactly through the Simulator: the
 //     derived graphs are a perfect deterministic adversary.
 //  3. The capture round-trips through the framed codec.

@@ -9,7 +9,11 @@
 // the same NetConfig, links and processes, the two must consume the
 // RNG identically and produce bit-identical reports, message counters,
 // simulated clocks and captures; only the capture's source tag
-// differs (kNetEventQueue here). The plane tripwires
+// differs (kNetEventQueue here). Unlike the driver, which deposits
+// pointers into its dcache and relies on the parity slots outliving
+// every close, the oracle copies each delivered message into its own
+// inbox storage, so it checks that lifetime argument instead of
+// sharing it. The plane tripwires
 // (tests/net/plane_equivalence_test.cpp, trace_capture_test.cpp) and
 // the net fuzz targets compare the driver against it.
 #pragma once
@@ -47,7 +51,8 @@ class EventQueueDriver final : public RoundEngine<Msg> {
         processes_(std::move(processes)),
         rng_(config_.seed),
         inboxes_(static_cast<ProcId>(processes_.size())),
-        dcache_(2 * processes_.size()) {
+        dcache_(2 * processes_.size()),
+        copies_(2 * processes_.size() * processes_.size()) {
     const std::size_t n = processes_.size();
     SSKEL_REQUIRE(n > 0);
     SSKEL_REQUIRE(links_.n() == static_cast<ProcId>(n));
@@ -132,11 +137,18 @@ class EventQueueDriver final : public RoundEngine<Msg> {
         (static_cast<std::size_t>(r) & 1U));
   }
 
-  /// On-time deposit into (to, r)'s inbox, keyed by sender.
+  /// On-time deposit into (to, r)'s inbox, keyed by sender: a value
+  /// copy in the oracle's own per-(receiver, round parity) storage.
   void deposit(ProcId from, ProcId to, Round r, const Msg& msg) {
     RoundInboxSlot<Msg>& slot = inboxes_.acquire(to, r);
+    const auto n_procs = static_cast<std::size_t>(n());
+    Msg& copy = copies_[(2 * static_cast<std::size_t>(to) +
+                         (static_cast<std::size_t>(r) & 1U)) *
+                            n_procs +
+                        static_cast<std::size_t>(from)];
+    copy = msg;
     slot.senders.insert(from);
-    slot.messages[static_cast<std::size_t>(from)] = msg;
+    slot.messages[static_cast<std::size_t>(from)] = &copy;
     account_delivery(r, msg);
   }
 
@@ -156,10 +168,7 @@ class EventQueueDriver final : public RoundEngine<Msg> {
 
     // Self-delivery is immediate and always on time (not counted in
     // delivered_, matching the network-accounting convention).
-    RoundInboxSlot<Msg>& own = inboxes_.acquire(p, r);
-    own.senders.insert(p);
-    own.messages[static_cast<std::size_t>(p)] = msg;
-    account_delivery(r, msg);
+    deposit(p, p, r, msg);
 
     const SimTime send_time = queue_.now();
     for (ProcId q = 0; q < n(); ++q) {
@@ -278,6 +287,9 @@ class EventQueueDriver final : public RoundEngine<Msg> {
   InboxBuffer<Msg> inboxes_;
   /// Payloads: 2 slots per sender (round parity).
   std::vector<Msg> dcache_;
+  /// Delivered copies: n per (receiver, round parity), by sender; the
+  /// inbox slots point here.
+  std::vector<Msg> copies_;
   std::vector<Round> finalized_round_;
   std::vector<PendingRound> pending_rounds_;
   Digraph last_graph_;

@@ -1,5 +1,6 @@
 // Tests for Inbox: the senders/from contract and the word-walking
-// for_each used by message-plane transition functions.
+// for_each used by message-plane transition functions, over the
+// per-sender pointer table the engines hand it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +12,14 @@
 namespace sskel {
 namespace {
 
+/// The pointer table an engine builds: entry q points at messages[q].
+template <typename Msg>
+std::vector<const Msg*> table_over(const std::vector<Msg>& messages) {
+  std::vector<const Msg*> table;
+  for (const Msg& msg : messages) table.push_back(&msg);
+  return table;
+}
+
 TEST(InboxTest, SendersAndFrom) {
   const ProcId n = 5;
   ProcSet senders(n);
@@ -19,7 +28,8 @@ TEST(InboxTest, SendersAndFrom) {
   std::vector<std::string> messages(static_cast<std::size_t>(n));
   messages[1] = "one";
   messages[3] = "three";
-  const Inbox<std::string> inbox(senders, messages);
+  const auto table = table_over(messages);
+  const Inbox<std::string> inbox(senders, table);
   EXPECT_EQ(inbox.senders().count(), 2);
   EXPECT_EQ(inbox.from(1), "one");
   EXPECT_EQ(inbox.from(3), "three");
@@ -35,7 +45,8 @@ TEST(InboxTest, ForEachMatchesIterationAcrossWords) {
   std::vector<int> messages(static_cast<std::size_t>(n), -1);
   for (ProcId q : senders) messages[static_cast<std::size_t>(q)] = 1000 + q;
 
-  const Inbox<int> inbox(senders, messages);
+  const auto table = table_over(messages);
+  const Inbox<int> inbox(senders, table);
   std::vector<std::pair<ProcId, int>> via_for_each;
   inbox.for_each([&](ProcId q, const int& msg) {
     via_for_each.emplace_back(q, msg);
@@ -55,7 +66,8 @@ TEST(InboxTest, ForEachOnEmptySendersVisitsNothing) {
   const ProcId n = 100;
   const ProcSet senders(n);
   const std::vector<int> messages(static_cast<std::size_t>(n), 0);
-  const Inbox<int> inbox(senders, messages);
+  const auto table = table_over(messages);
+  const Inbox<int> inbox(senders, table);
   int visits = 0;
   inbox.for_each([&](ProcId, const int&) { ++visits; });
   EXPECT_EQ(visits, 0);
