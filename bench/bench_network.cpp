@@ -18,14 +18,14 @@
 // payloads) makes the transition free, so the measurement isolates the
 // delivery hot path:
 //
-//   * plane throughput — one seeded run on the ring plane (analytic
-//     timeliness, batch ring drains) per link mix. All-timely links
-//     measure the on-time path: gate >= 1M process-rounds/sec. The
-//     perfbench `network` topology (a timely hub cover over flaky
-//     links, on time with probability 0.35) adds the late and lost
-//     paths. The bench-regression diff of process_rounds_per_sec
-//     against the committed BENCH_network.json gates both rows
-//     against their baselines.
+//   * plane throughput — one seeded NetRoundDriver run (analytic
+//     timeliness, on-time deposits at send time) per link mix.
+//     All-timely links measure the on-time path: gate >= 1M
+//     process-rounds/sec. The perfbench `network` topology (a timely
+//     hub cover over flaky links, on time with probability 0.35) adds
+//     the late and lost paths. The bench-regression diff of
+//     process_rounds_per_sec against the committed BENCH_network.json
+//     gates both rows against their baselines.
 //   * multiplexed runs — many independent net-backed runs dispatched
 //     as TileWork over a TilePlane (credit-gated intake/result rings,
 //     tick-paced watermarks). This is the fleet shape: one dispatcher
@@ -98,7 +98,6 @@ struct ThroughputRun {
   std::int64_t late = 0;
   std::int64_t lost = 0;
   std::int64_t credit_stalls = 0;
-  std::int64_t ring_frags = 0;
   std::int64_t digest = 0;
 };
 
@@ -132,7 +131,6 @@ ThroughputRun run_throughput(const LinkMatrix& links, Round rounds,
   run.late = driver.late_messages();
   run.lost = driver.lost_messages();
   run.credit_stalls = driver.credit_stalls();
-  run.ring_frags = driver.ring_frags();
   for (ProcId p = 0; p < n; ++p) {
     const auto& proc = static_cast<const RelayProcess&>(driver.process(p));
     run.digest = run.digest * 257 + proc.digest();
@@ -274,13 +272,12 @@ int main() {
     Table table("plane throughput (n=24, ring plane, " +
                     std::to_string(mux_rounds) + " rounds)",
                 {"links", "proc-rounds/s", "delivered", "late", "lost",
-                 "credit stalls", "ring frags", "elapsed (ms)"});
+                 "credit stalls", "elapsed (ms)"});
     const auto add_row = [&](const std::string& links,
                              const ThroughputRun& run) {
       table.add_row({links, cell(run.process_rounds_per_sec, 0),
                      cell(run.delivered), cell(run.late), cell(run.lost),
-                     cell(run.credit_stalls), cell(run.ring_frags),
-                     cell(run.elapsed_s * 1000.0, 1)});
+                     cell(run.credit_stalls), cell(run.elapsed_s * 1000.0, 1)});
     };
     const ThroughputRun ring = run_throughput(mux_links, mux_rounds, 0xE14);
     add_row("all-timely", ring);
@@ -290,8 +287,7 @@ int main() {
         .set("rounds", static_cast<std::int64_t>(mux_rounds))
         .set("process_rounds_per_sec", ring.process_rounds_per_sec)
         .set("delivered_messages", ring.delivered)
-        .set("credit_stall_total", ring.credit_stalls)
-        .set("ring_frags", ring.ring_frags);
+        .set("credit_stall_total", ring.credit_stalls);
     const ThroughputRun hub = run_throughput(hub_links, mux_rounds, 0xE14);
     add_row("hub cover + flaky 0.35", hub);
     json.add("plane_throughput")
@@ -303,8 +299,7 @@ int main() {
         .set("delivered_messages", hub.delivered)
         .set("late_messages", hub.late)
         .set("lost_messages", hub.lost)
-        .set("credit_stall_total", hub.credit_stalls)
-        .set("ring_frags", hub.ring_frags);
+        .set("credit_stall_total", hub.credit_stalls);
     table.print(std::cout);
 
     const double ring_rate = ring.process_rounds_per_sec;

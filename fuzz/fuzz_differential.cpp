@@ -8,7 +8,7 @@
 // KSetRunReport. The capture also has to survive its own codec on the
 // way (encode → decode → ScheduleSource), so the fuzzer exercises the
 // full record/replay pipeline end to end. The recording side is
-// fuzz-chosen: the ring-plane driver or the event-queue oracle.
+// fuzz-chosen: NetRoundDriver or the event-queue oracle.
 //
 // The same capture then replays through the dense line-by-line
 // Algorithm 1 (tests/oracles/dense_kset.hpp) beside the production
@@ -96,7 +96,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   links.upgrade_to_timely(stable, lo, hi);
 
   const bool on_oracle = input.boolean();
-  config.net.ring_depth = input.in_range(0, 3);
 
   const NetRun recorded =
       on_oracle

@@ -1,17 +1,15 @@
 // Fuzz target: NetRoundDriver against the event-queue oracle.
 //
-// The fuzz input picks a small universe, skews, link matrix (timely /
-// flaky / lossy mix, deadline-tie delays included) and ring depth; the
-// same k-set run then executes on the ring-plane driver and on the
-// event-queue oracle (tests/oracles/event_queue_driver.hpp). Reports
-// must be bit-equal (DESIGN.md §12) and the full captures —
-// broadcasts, delivery fates, closes — identical. The driver runs each
-// input twice, with a capture sink and without one: the untraced run
+// The fuzz input picks a small universe, skews and link matrix
+// (timely / flaky / lossy mix, deadline-tie delays included); the
+// same k-set run then executes on the driver and on the event-queue
+// oracle (tests/oracles/event_queue_driver.hpp). Reports must be
+// bit-equal (DESIGN.md §12) and the full captures — broadcasts,
+// delivery fates, closes — identical. The driver runs each input
+// twice, with a capture sink and without one: the untraced run
 // schedules no capture events and draws late arrivals' seqs from
 // take_seq(), and must still give the same report, message counters
-// and clock. Tiny ring depths are part of the search space
-// deliberately: backpressure and frag reassembly must not change
-// observable behaviour.
+// and clock.
 #include <cstdint>
 #include <vector>
 
@@ -120,18 +118,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                               0, static_cast<std::uint32_t>(duration - lo)));
   links.upgrade_to_timely(stable, lo, hi);
 
-  config.net.ring_depth = input.in_range(0, 3);
-  using Ring = NetRoundDriver<SkeletonMessage>;
-  const PlaneRun ring = run_plane<Ring>(links, config, /*traced=*/true);
-  const PlaneRun untraced = run_plane<Ring>(links, config, /*traced=*/false);
+  using Driver = NetRoundDriver<SkeletonMessage>;
+  const PlaneRun traced = run_plane<Driver>(links, config, /*traced=*/true);
+  const PlaneRun untraced =
+      run_plane<Driver>(links, config, /*traced=*/false);
   const PlaneRun eq = run_plane<oracles::EventQueueDriver<SkeletonMessage>>(
       links, config, /*traced=*/true);
 
-  require_same_run(ring, eq);
+  require_same_run(traced, eq);
   require_same_run(untraced, eq);
-  SSKEL_REQUIRE(untraced.report == ring.report);
+  SSKEL_REQUIRE(untraced.report == traced.report);
 
-  RunCapture rebased = ring.capture;
+  RunCapture rebased = traced.capture;
   rebased.header.source = TraceSource::kNetEventQueue;
   SSKEL_REQUIRE(rebased == eq.capture);
   return 0;

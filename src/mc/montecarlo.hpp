@@ -53,8 +53,9 @@ struct McSummary {
   Accumulator late_messages;
   Accumulator lost_messages;
   Accumulator wall_clock_ms;  // simulated milliseconds
-  /// Total ring-plane flow-control stalls across the batch (0 when
-  /// rings never ran dry).
+  /// Total net-driver credit stalls across the batch: always 0, since
+  /// the driver has no rings (NetRoundDriver::credit_stalls). Kept
+  /// because the SSKC checkpoint layout and E11's records carry it.
   std::int64_t credit_stalls = 0;
 
   /// Structure-interning counters, merged over the per-tile shards

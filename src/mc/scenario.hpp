@@ -33,7 +33,8 @@ struct ScenarioTrial {
   std::int64_t delivered_messages = 0;
   std::int64_t late_messages = 0;
   std::int64_t lost_messages = 0;
-  /// Ring-plane flow-control stalls.
+  /// Always 0 (NetRoundDriver::credit_stalls); kept so checkpoints and
+  /// the folds over this field stay byte-identical.
   std::int64_t credit_stalls = 0;
   SimTime wall_clock = 0;  // simulated microseconds; 0 off-network
 };

@@ -18,22 +18,18 @@
 // else, which is precisely the paper's unified model. Late messages
 // are discarded (communication closure) and counted.
 //
-// Message plane (DESIGN.md §12). On-time broadcasts go through
-// lock-free frag rings: the payload is written once into a shared
-// dcache slot keyed by (sender, round parity), and one descriptor per
-// recipient is published into that recipient's credit-gated FragRing
-// (net/ring.hpp, net/fctl.hpp). Rings drain in batch when the
-// recipient closes a round — timeliness is *analytic* (the descriptor
-// carries the arrival time; (*) is evaluated against the receiver's
-// deadline), so no per-message event, closure, or allocation exists on
-// the path. A drain deposits by reference: the recipient's inbox
-// stores a pointer to the dcache slot, never a copy. That is safe
-// because sender p's round-r slot is rewritten only at start(p, r+2),
-// which follows every deadline(q, r) since skews stay below D. If a
-// recipient's ring runs out of credits (tiny test depths), the driver
-// performs an early opportunistic drain — semantics-preserving, since
-// deposits are keyed by sender and timeliness is analytic — and counts
-// a credit stall.
+// Message plane (DESIGN.md §12). Timeliness is *analytic*: the
+// driver samples a message's delay when it is sent and evaluates (*)
+// against the receiver's deadline there, so no per-message event,
+// closure, or allocation exists on the path. The payload is written
+// once into a shared dcache slot keyed by (sender, round parity), and
+// an on-time message is deposited by reference into the recipient's
+// round-r inbox at the send instant: the inbox stores a pointer to the
+// dcache slot, never a copy. That is safe because start(p, r) falls
+// after close(q, r-2) and before deadline(q, r) for every recipient q,
+// and sender p's round-r slot is rewritten only at start(p, r+2), which
+// follows every deadline(q, r) — both because skews stay below D. The
+// message's count waits for its arrival instant (delivered_messages()).
 //
 // Late arrivals are not timers either. A late message records the
 // (arrival, seq) key its timer event would have had, and
@@ -67,9 +63,7 @@
 
 #include "graph/digraph.hpp"
 #include "net/event_queue.hpp"
-#include "net/fctl.hpp"
 #include "net/link.hpp"
-#include "net/ring.hpp"
 #include "rounds/algorithm.hpp"
 #include "rounds/engine.hpp"
 #include "rounds/inbox.hpp"
@@ -85,11 +79,6 @@ struct NetConfig {
   std::vector<SimTime> skews;
   /// Seed for all delay sampling.
   std::uint64_t seed = 1;
-  /// Descriptor depth of each per-recipient frag ring; 0 = automatic
-  /// (2n, enough for the two live rounds a recipient can have in
-  /// flight, so credit stalls never occur). Tests set tiny depths to
-  /// exercise backpressure.
-  std::size_t ring_depth = 0;
 };
 
 template <typename Msg>
@@ -122,19 +111,6 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     }
     use_rows64_ = n <= 64;
 
-    const std::size_t depth =
-        config_.ring_depth != 0 ? config_.ring_depth : 2 * n;
-    rings_.reserve(n);
-    fctl_.reserve(n);
-    cursors_.resize(n);
-    drain_fseq_ = std::vector<FlowSeq>(n);
-    for (std::size_t q = 0; q < n; ++q) {
-      // Payload slots live in the shared dcache_, not the ring;
-      // descriptors carry dcache indices.
-      rings_.emplace_back(depth, 1);
-      fctl_.emplace_back(rings_.back().depth());
-      fctl_.back().add_consumer(&drain_fseq_[q]);
-    }
     // Close calendar: rounds close in one fixed per-round order — by
     // deadline, i.e. by skew, FIFO (= bootstrap = id) on ties — so the
     // driver ticks closes off this precomputed cycle instead of paying
@@ -182,52 +158,31 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   }
   [[nodiscard]] std::int64_t lost_messages() const { return lost_; }
 
-  /// Messages that arrived on time, *as of the current cut*. The ring
-  /// plane moves deposits off the arrival instant (drains run at round
-  /// closes; zombies count at publish), so the raw tally would run
-  /// ahead of the event-queue oracle's whenever the cut leaves
-  /// deliveries in flight. The accessor restores arrival-time
-  /// semantics analytically: an on-time message counts iff its arrival
-  /// precedes now(), or lands exactly on it while belonging to the
+  /// Messages that arrived on time, *as of the current cut*. Every
+  /// on-time message is deposited when it is sent, ahead of its
+  /// arrival, and counted as a FutureCount until a round completion
+  /// settles it. The accessor restores arrival-time semantics
+  /// analytically: an on-time message counts iff its arrival precedes
+  /// now(), or lands exactly on it while belonging to the
   /// just-completed round (the event-queue seq-order analysis of the
   /// deadline tie — same-time next-round deliveries are scheduled
   /// after the cut's close event and have not executed there).
   [[nodiscard]] std::int64_t delivered_messages() const {
     std::int64_t total = delivered_;
     const SimTime cut = queue_.now();
-    const auto arrived = [&](SimTime arrival, Round r) {
-      return arrival < cut || (arrival == cut && r == derived_rounds_);
-    };
     for (const FutureCount& fc : future_counts_) {
-      if (arrived(fc.arrival, fc.round)) ++total;
-    }
-    Frag frag;
-    for (std::size_t q = 0; q < rings_.size(); ++q) {
-      auto cursor = cursors_[q];  // copy: peek without consuming
-      while (rings_[q].poll(cursor, frag) == PollStatus::kFrag) {
-        if (arrived(frag.tsorig, static_cast<Round>(frag.round))) ++total;
+      if (fc.arrival < cut ||
+          (fc.arrival == cut && fc.round == derived_rounds_)) {
+        ++total;
       }
     }
     return total;
   }
 
-  /// Ring-plane backpressure events: publishes that found a recipient
-  /// ring out of credits and forced an early drain. Always 0 with
-  /// automatic ring depth.
-  [[nodiscard]] std::int64_t credit_stalls() const {
-    std::int64_t total = 0;
-    for (const FlowControl& fctl : fctl_) total += fctl.stalls();
-    return total;
-  }
-
-  /// Frags published across all recipient rings.
-  [[nodiscard]] std::int64_t ring_frags() const {
-    std::int64_t total = 0;
-    for (const auto& ring : rings_) {
-      total += static_cast<std::int64_t>(ring.seq_produced());
-    }
-    return total;
-  }
+  /// Always 0: deposits go straight into the inboxes, so there is no
+  /// ring whose credits could run out. Kept because callers fold it
+  /// into reports, checkpoints and benchmark digests.
+  [[nodiscard]] std::int64_t credit_stalls() const { return 0; }
 
   /// Optional wire encoder for trace capture: writes `msg`'s encoded
   /// bytes into the scratch vector (cleared by the driver first).
@@ -334,7 +289,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   /// close event. In the event-queue oracle both land at the same
   /// timestamp and FIFO seq decides; seqs follow scheduling order,
   /// which follows the start-event order of the two processes —
-  /// (skew, id) lexicographic. The ring plane reproduces the verdict
+  /// (skew, id) lexicographic. The driver reproduces the verdict
   /// analytically.
   [[nodiscard]] bool close_precedes_delivery_at_tie(ProcId from,
                                                     ProcId to) const {
@@ -354,74 +309,6 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   [[nodiscard]] bool before_last_close(const LateKey& key) const {
     return key.arrival < last_close_time_ ||
            (key.arrival == last_close_time_ && key.seq < last_close_seq_);
-  }
-
-  /// Publishes one delivery descriptor into the recipient's ring,
-  /// early-draining on credit exhaustion.
-  void publish_frag(ProcId from, ProcId to, Round r, SimTime arrival,
-                    std::uint32_t slot) {
-    FragRing<Msg>& ring = rings_[static_cast<std::size_t>(to)];
-    FlowControl& fctl = fctl_[static_cast<std::size_t>(to)];
-    if (!fctl.acquire(ring.seq_produced())) {
-      drain_ring(to);
-      const bool ok = fctl.acquire(ring.seq_produced());
-      SSKEL_ASSERT(ok);
-    }
-    ring.publish(frag_sig(from, to), slot, r, arrival);
-  }
-
-  /// Drains every published frag of `q`'s ring into its inboxes and
-  /// republishes the consumption watermark. Runs at q's round closes
-  /// and under producer backpressure; both are safe at any time
-  /// because deposits commute and timeliness is analytic (late frags
-  /// never enter the ring — see start_round).
-  void drain_ring(ProcId q) {
-    FragRing<Msg>& ring = rings_[static_cast<std::size_t>(q)];
-    auto& cursor = cursors_[static_cast<std::size_t>(q)];
-    // now() is loop-invariant across the whole drain (no events
-    // execute mid-drain), so hoist it past the deposit stores the
-    // compiler must otherwise assume could alias the clock.
-    const SimTime now = queue_.now();
-    // Frags of one drain span at most two rounds (r, then early r+1
-    // publishes), and producers publish in event order — so the inbox
-    // slot switches at most once per drain and is worth caching
-    // instead of re-resolving per frag.
-    RoundInboxSlot<Msg>* slot = nullptr;
-    Round slot_round = 0;
-    SimTime slot_deadline = 0;
-    Frag frag;
-    while (ring.poll(cursor, frag) == PollStatus::kFrag) {
-      const auto r = static_cast<Round>(frag.round);
-      if (r != slot_round) {
-        slot = &inboxes_.acquire(q, r);
-        slot_round = r;
-        slot_deadline = deadline(q, r);
-      }
-      SSKEL_ASSERT(frag.tsorig <= slot_deadline);
-      // Count eagerly only an arrival strictly in the past: one at the
-      // current instant may be a next-round delivery whose event the
-      // current close precedes, so it waits for the accessor's tie
-      // rule like any future arrival.
-      if (frag.tsorig < now) {
-        ++delivered_;
-      } else {
-        future_counts_.push_back(FutureCount{frag.tsorig, r});
-      }
-      const ProcId from = sig_from(frag.sig);
-      const Msg& msg = dcache_[frag.slot];
-      slot->senders.insert(from);
-      slot->messages[static_cast<std::size_t>(from)] = &msg;
-      if (this->sizer_) account_delivery(r, msg);
-    }
-    drain_fseq_[static_cast<std::size_t>(q)].publish(cursor.seq);
-    // Housekeeping: settle deferred counts whose arrival has passed.
-    if (!future_counts_.empty()) {
-      std::erase_if(future_counts_, [&](const FutureCount& fc) {
-        if (fc.arrival >= now) return false;
-        ++delivered_;
-        return true;
-      });
-    }
   }
 
   /// Round boundary for p: broadcast round r (state is already the
@@ -445,7 +332,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     account_delivery(r, msg);
 
     // now() is loop-invariant (schedule/take_seq never move the
-    // clock); hoist it past the publish stores.
+    // clock); hoist it past the deposit stores.
     const SimTime send_time = queue_.now();
     for (ProcId q = 0; q < n(); ++q) {
       if (q == p) continue;
@@ -465,7 +352,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       const SimTime arrival = send_time + delay;
       const SimTime due = deadline(q, r);
       if (arrival > due) {
-        // Late: never enters the ring, and schedules nothing unless a
+        // Late: deposits nothing, and schedules nothing unless a
         // capture needs the event. Its (arrival, seq) key is the one
         // the oracle's delivery event gets, so late_messages() applies
         // the oracle's counting cutoff exactly — a late arrival past
@@ -478,17 +365,25 @@ class NetRoundDriver final : public RoundEngine<Msg> {
                                        queue_.now());
                   });
         late_keys_.push_back(LateKey{arrival, seq});
-      } else if (arrival == due && close_precedes_delivery_at_tie(p, q)) {
-        // The event-queue oracle runs the close first and the
-        // delivery into a dead inbox right after: counted and
-        // byte-accounted, never consumed. The arrival is D + skew(q) -
-        // skew(p) > 0 ahead, so its count waits for the accessor.
-        future_counts_.push_back(FutureCount{arrival, r});
-        account_delivery(r, msg);
-        if (sink_ != nullptr) schedule_trace_delivery(p, q, r, arrival, true);
-      } else {
-        publish_frag(p, q, r, arrival, slot);
-        if (sink_ != nullptr) schedule_trace_delivery(p, q, r, arrival, false);
+        continue;
+      }
+      // On time: counted and byte-accounted now, the count waiting for
+      // its arrival (delivered_messages()). At a deadline tie the
+      // event-queue oracle runs the close first and the delivery into
+      // a dead inbox right after, so a tie the close wins deposits
+      // nothing; every other on-time message lands in (q, r)'s inbox
+      // now, which is still open (see the header comment).
+      const bool tie_discard =
+          arrival == due && close_precedes_delivery_at_tie(p, q);
+      if (!tie_discard) {
+        RoundInboxSlot<Msg>& inbox = inboxes_.acquire(q, r);
+        inbox.senders.insert(p);
+        inbox.messages[static_cast<std::size_t>(p)] = &msg;
+      }
+      future_counts_.push_back(FutureCount{arrival, r});
+      account_delivery(r, msg);
+      if (sink_ != nullptr) {
+        schedule_trace_delivery(p, q, r, arrival, tie_discard);
       }
     }
 
@@ -515,11 +410,6 @@ class NetRoundDriver final : public RoundEngine<Msg> {
 
   void close_round(ProcId p, Round r) {
     if (sink_ != nullptr) sink_->on_close(r, p, queue_.now());
-    // Batch-consume everything published since the last close
-    // (round-r frags, plus early round-(r+1) frags that simply land in
-    // the other parity slot).
-    drain_ring(p);
-
     RoundInboxSlot<Msg>& slot = inboxes_.acquire(p, r);
     const Inbox<Msg> view(slot.senders, slot.messages);
     processes_[static_cast<std::size_t>(p)]->transition(r, view);
@@ -611,18 +501,23 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       ++derived_rounds_;
       std::erase_if(pending_rounds_,
                     [r](const PendingRound& pg) { return pg.round == r; });
-      // Settle the late arrivals this cut has passed.
+      // Settle the late and on-time arrivals this cut has passed.
       std::erase_if(late_keys_, [this](const LateKey& key) {
         if (!before_last_close(key)) return false;
         ++late_;
         return true;
       });
+      const SimTime now = queue_.now();
+      std::erase_if(future_counts_, [this, now](const FutureCount& fc) {
+        if (fc.arrival >= now) return false;
+        ++delivered_;
+        return true;
+      });
     }
   }
 
-  /// An on-time message counted before its arrival instant
-  /// (early drain or publish-time zombie); settled into delivered_
-  /// once its arrival passes, evaluated analytically at a cut before.
+  /// An on-time message not yet settled into delivered_: its arrival
+  /// instant and round, for delivered_messages()'s tie rule.
   struct FutureCount {
     SimTime arrival = 0;
     Round round = 0;
@@ -636,11 +531,6 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   InboxBuffer<Msg> inboxes_;
   /// Shared payload dcache: 2 slots per sender (round parity).
   std::vector<Msg> dcache_;
-  /// Per-recipient frag rings, their credit gates and drain cursors.
-  std::vector<FragRing<Msg>> rings_;
-  std::vector<FlowControl> fctl_;
-  std::vector<FlowSeq> drain_fseq_;
-  std::vector<typename FragRing<Msg>::Cursor> cursors_;
   /// Close calendar: the fixed per-round close order and
   /// each process's pending close (absolute time, tie-break seq,
   /// round; round 0 = not yet armed).

@@ -45,7 +45,7 @@ class EventQueue {
   // --- external-timer integration ----------------------------------------
   //
   // A driver may run some of its timers outside the heap (e.g. the
-  // ring plane's strictly periodic round closes live on a calendar,
+  // net driver's strictly periodic round closes live on a calendar,
   // not in the heap). Such timers still participate in the queue's
   // deterministic (time, seq) order: they draw their tie-breaking seq
   // from take_seq() at the moment they would have been scheduled,

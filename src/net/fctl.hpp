@@ -1,5 +1,7 @@
 // Credit-based flow control between frag producers and consumers
-// (DESIGN.md §12), after firedancer's fd_fctl.
+// (DESIGN.md §12), after firedancer's fd_fctl. It gates TilePlane's
+// intake and result rings (net/tile.hpp), whose producer and consumer
+// are different threads.
 //
 // Each reliable consumer exposes a FlowSeq — a cache-line-aligned,
 // atomically published "I have fully consumed every frag below this
@@ -15,8 +17,9 @@
 // refill, keeping the fseq cache lines out of the publish hot path).
 // acquire() returning false is backpressure: the ring is full from the
 // slowest consumer's point of view, and the producer must drain, spin,
-// or otherwise let the consumer catch up. Stall/refill counters feed
-// the bench JSON (BENCH_network.json) and the regression gate.
+// or otherwise let the consumer catch up. Stall counters feed the
+// bench JSON (the `credit_stall_submit`/`credit_stall_result` fields
+// of BENCH_network.json and BENCH_mc.json) and the regression gate.
 //
 // The consumer publishes its watermark with a release store so the
 // producer's acquire-refill observes every payload read the consumer

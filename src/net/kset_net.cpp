@@ -16,7 +16,6 @@ NetKSetReport run_kset_over_network(const LinkMatrix& links,
   report.late_messages = driver.late_messages();
   report.lost_messages = driver.lost_messages();
   report.credit_stalls = driver.credit_stalls();
-  report.ring_frags = driver.ring_frags();
   report.wall_clock = driver.now();
   return report;
 }

@@ -34,12 +34,11 @@ struct NetKSetReport {
   std::int64_t delivered_messages = 0;
   std::int64_t late_messages = 0;
   std::int64_t lost_messages = 0;
-  /// Ring-plane flow control: publish attempts that found the
-  /// receiver's ring out of credits (0 whenever ring_depth covers the
-  /// skew window).
+  /// Always 0: the driver deposits messages straight into the
+  /// inboxes and has no ring to run out of credits
+  /// (NetRoundDriver::credit_stalls). Kept so the Monte-Carlo and
+  /// checkpoint folds of this field stay byte-identical.
   std::int64_t credit_stalls = 0;
-  /// Frags that crossed a ring.
-  std::int64_t ring_frags = 0;
   SimTime wall_clock = 0;  // simulated microseconds
 };
 

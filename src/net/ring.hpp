@@ -1,5 +1,6 @@
-// Lock-free frag-metadata ring buffers: the shared-memory message
-// plane's transport primitive (DESIGN.md §12).
+// Lock-free frag-metadata ring buffers: the transport between
+// TilePlane's dispatcher and worker threads (net/tile.hpp,
+// DESIGN.md §12).
 //
 // The layout follows the firedancer/tango mcache+dcache split. A
 // FragRing is two arrays:
@@ -15,10 +16,10 @@
 //     Comparisons use wraparound-safe signed sequence arithmetic, so
 //     the ring survives 2^64 rollover.
 //
-//   * the *dcache*: a separate array of typed payload slots. Metadata
-//     carries the slot index instead of the payload, so a broadcast
-//     writes its (possibly large, non-POD) message once and publishes
-//     n-1 descriptors pointing at it.
+//   * the *dcache*: a separate array of typed payload slots, one per
+//     descriptor line. Metadata carries the slot index instead of the
+//     payload, so the payload type is free and the descriptor stays
+//     one cache line.
 //
 // Safety contract: a consumer may dereference a frag's payload only
 // when the producer is credit-gated on that consumer's FlowSeq
@@ -40,9 +41,7 @@
 #include <memory>
 #include <vector>
 
-#include "net/event_queue.hpp"
 #include "util/assert.hpp"
-#include "util/types.hpp"
 
 namespace sskel {
 
@@ -57,30 +56,11 @@ inline constexpr std::size_t kCacheLineBytes = 64;
   return seq_diff(a, b) < 0;
 }
 
-/// Packs (from, to) into a frag signature; the round and timestamp get
-/// their own descriptor fields. Receivers use sig_from to index their
-/// inbox row without touching the payload.
-[[nodiscard]] constexpr std::uint64_t frag_sig(ProcId from, ProcId to) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-          << 32U) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(to));
-}
-[[nodiscard]] constexpr ProcId sig_from(std::uint64_t sig) {
-  return static_cast<ProcId>(sig >> 32U);
-}
-[[nodiscard]] constexpr ProcId sig_to(std::uint64_t sig) {
-  return static_cast<ProcId>(sig & 0xffffffffU);
-}
-
 /// One mcache line. Exactly one cache line so two descriptors never
 /// false-share, with the seq tag doubling as the publication flag.
 struct alignas(kCacheLineBytes) FragMeta {
   std::atomic<std::uint64_t> seq{0};
-  std::uint64_t sig = 0;
-  std::uint32_t slot = 0;   // dcache index of the payload
-  std::uint32_t ctl = 0;    // producer-defined control bits
-  std::int64_t round = 0;   // round tag (message-plane routing)
-  std::int64_t tsorig = 0;  // origin timestamp (arrival SimTime)
+  std::uint32_t slot = 0;  // dcache index of the payload
 };
 static_assert(sizeof(FragMeta) == kCacheLineBytes);
 
@@ -88,11 +68,7 @@ static_assert(sizeof(FragMeta) == kCacheLineBytes);
 /// mcache line at poll time.
 struct Frag {
   std::uint64_t seq = 0;
-  std::uint64_t sig = 0;
   std::uint32_t slot = 0;
-  std::uint32_t ctl = 0;
-  std::int64_t round = 0;
-  std::int64_t tsorig = 0;
 };
 
 enum class PollStatus : std::uint8_t {
@@ -106,15 +82,15 @@ enum class PollStatus : std::uint8_t {
 template <typename Payload>
 class FragRing {
  public:
-  /// `depth` descriptor lines (rounded up to a power of two, min 4)
-  /// and `slots` payload slots (0 = one per line). Slot lifetime is
-  /// the producer's contract, not the ring's: the driver recycles
-  /// slots only after every consumer provably drained them.
-  explicit FragRing(std::size_t depth, std::size_t slots = 0)
+  /// `depth` descriptor lines (rounded up to a power of two, min 4),
+  /// one payload slot each. Slot lifetime is the producer's contract,
+  /// not the ring's: a producer recycles a slot only after every
+  /// reliable consumer provably drained it (flow control).
+  explicit FragRing(std::size_t depth)
       : depth_(ceil_pow2(depth < 4 ? 4 : depth)),
         mask_(depth_ - 1),
         lines_(depth_),
-        payloads_(slots == 0 ? depth_ : slots) {
+        payloads_(depth_) {
     // Seed line tags to "one lap below" their first carried seq, so a
     // fresh cursor at seq s reads tag s - depth: strictly seq_lt, i.e.
     // kEmpty, never a bogus frag or overrun.
@@ -146,19 +122,14 @@ class FragRing {
     return payloads_[slot];
   }
 
-  /// Publishes the next frag: writes the descriptor fields, then
-  /// release-stores the seq tag so a consumer that observes the tag
-  /// observes everything the producer wrote before it (descriptor and
-  /// payload alike). Returns the published seq.
-  std::uint64_t publish(std::uint64_t sig, std::uint32_t slot, Round round,
-                        SimTime tsorig, std::uint32_t ctl = 0) {
+  /// Publishes the next frag, whose payload is in `slot`: writes the
+  /// descriptor, then release-stores the seq tag so a consumer that
+  /// observes the tag observes everything the producer wrote before it
+  /// (descriptor and payload alike). Returns the published seq.
+  std::uint64_t publish(std::uint32_t slot) {
     const std::uint64_t seq = seq_next_++;
     FragMeta& line = lines_[static_cast<std::size_t>(seq) & mask_];
-    line.sig = sig;
     line.slot = slot;
-    line.ctl = ctl;
-    line.round = round;
-    line.tsorig = tsorig;
     line.seq.store(seq, std::memory_order_release);
     return seq;
   }
@@ -179,11 +150,7 @@ class FragRing {
     const std::uint64_t tag = line.seq.load(std::memory_order_acquire);
     if (tag == cursor.seq) {
       out.seq = tag;
-      out.sig = line.sig;
       out.slot = line.slot;
-      out.ctl = line.ctl;
-      out.round = line.round;
-      out.tsorig = line.tsorig;
       ++cursor.seq;
       return PollStatus::kFrag;
     }

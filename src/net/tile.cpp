@@ -135,8 +135,7 @@ void TilePlane::tile_main(Tile& tile, const std::stop_token& stop) {
       const auto slot = static_cast<std::uint32_t>(
           tile.result.seq_produced() % tile.result.payload_slots());
       tile.result.payload(slot) = result;
-      tile.result.publish(frag_sig(static_cast<ProcId>(tile.index), 0), slot,
-                          /*round=*/0, /*tsorig=*/0);
+      tile.result.publish(slot);
       tile.frags.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -161,8 +160,7 @@ unsigned TilePlane::submit(const TileWork& work) {
   const auto slot = static_cast<std::uint32_t>(tile.intake.seq_produced() %
                                                tile.intake.payload_slots());
   tile.intake.payload(slot) = work;
-  tile.intake.publish(frag_sig(0, static_cast<ProcId>(index)), slot,
-                      /*round=*/0, /*tsorig=*/0);
+  tile.intake.publish(slot);
   return index;
 }
 
@@ -174,8 +172,7 @@ bool TilePlane::try_submit(const TileWork& work) {
     const auto slot = static_cast<std::uint32_t>(tile.intake.seq_produced() %
                                                  tile.intake.payload_slots());
     tile.intake.payload(slot) = work;
-    tile.intake.publish(frag_sig(0, static_cast<ProcId>(index)), slot,
-                        /*round=*/0, /*tsorig=*/0);
+    tile.intake.publish(slot);
     next_tile_ = (index + 1) % tiles();
     return true;
   }

@@ -165,8 +165,8 @@ TEST(McTilePlane, TinyRingBackpressureBitIdentical) {
 }
 
 TEST(McTilePlane, NetTrialsBitIdenticalAcrossTileCounts) {
-  // The net-backed scenario: each trial runs the ring message plane
-  // inside a tile, and several tiles run such trials side by side.
+  // The net-backed scenario: each trial runs a NetRoundDriver inside
+  // a tile, and several tiles run such trials side by side.
   // Which tile runs which trial varies from run to run; the summary
   // must not.
   const NetScenario scenario = flaky_hub_scenario(6);

@@ -1,13 +1,11 @@
 // The bit-equality tripwire for the message plane (DESIGN.md §12):
-// the same seeded run through the ring-plane NetRoundDriver and the
-// event-queue oracle must produce identical KSetRunReports — same
-// decisions, same derived skeletons, same message accounting, same
-// simulated clock — under clean networks, lossy/flaky networks with
-// late arrivals, deadline ties, and ring backpressure alike. The
-// plane-mechanics counters (credit_stalls, ring_frags) exist only on
-// the ring side. The lockstep cases at the end compare the message
-// counters after every round and at every close, not only at the end
-// of the run.
+// the same seeded run through NetRoundDriver and the event-queue
+// oracle must produce identical KSetRunReports — same decisions, same
+// derived skeletons, same message accounting, same simulated clock —
+// under clean networks, lossy/flaky networks with late arrivals,
+// deadline ties, and skews spanning the round alike. The lockstep
+// cases at the end compare the message counters after every round
+// and at every close, not only at the end of the run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,9 +20,9 @@
 namespace sskel {
 namespace {
 
-void expect_reports_equal(const NetKSetReport& ring,
+void expect_reports_equal(const NetKSetReport& driver,
                           const NetKSetReport& eq) {
-  const KSetRunReport& a = ring.kset;
+  const KSetRunReport& a = driver.kset;
   const KSetRunReport& b = eq.kset;
   EXPECT_EQ(a.n, b.n);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
@@ -53,16 +51,14 @@ void expect_reports_equal(const NetKSetReport& ring,
   EXPECT_EQ(a.max_message_bytes, b.max_message_bytes);
   EXPECT_EQ(a.lemma_violations, b.lemma_violations);
 
-  EXPECT_EQ(ring.delivered_messages, eq.delivered_messages);
-  EXPECT_EQ(ring.late_messages, eq.late_messages);
-  EXPECT_EQ(ring.lost_messages, eq.lost_messages);
-  EXPECT_EQ(ring.wall_clock, eq.wall_clock);
-  // credit_stalls / ring_frags are ring mechanics; the oracle has none.
+  EXPECT_EQ(driver.delivered_messages, eq.delivered_messages);
+  EXPECT_EQ(driver.late_messages, eq.late_messages);
+  EXPECT_EQ(driver.lost_messages, eq.lost_messages);
+  EXPECT_EQ(driver.wall_clock, eq.wall_clock);
 }
 
-NetKSetReport run_on_ring(const LinkMatrix& links, NetKSetConfig config,
-                          std::size_t ring_depth = 0) {
-  config.net.ring_depth = ring_depth;
+NetKSetReport run_on_driver(const LinkMatrix& links,
+                          const NetKSetConfig& config) {
   return run_kset_over_network(links, config);
 }
 
@@ -120,7 +116,9 @@ PlaneCase skewed_tie_case() {
   return {LinkMatrix::all_timely(n, 1000, 1000), std::move(config)};
 }
 
-PlaneCase tiny_ring_case() {
+/// Skews spread across the whole round (0..804 of D = 1000): each
+/// round's sends and closes interleave with the next round's.
+PlaneCase wide_skew_case() {
   const ProcId n = 8;
   NetKSetConfig config;
   config.run.k = 1;
@@ -145,24 +143,24 @@ TEST(PlaneEquivalenceTest, CleanTimelyNetworkWithSkews) {
     config.net.skews.push_back((static_cast<SimTime>(p) * 137) % 900);
   }
   const LinkMatrix links = LinkMatrix::all_timely(n, 50, 400);
-  expect_reports_equal(run_on_ring(links, config),
+  expect_reports_equal(run_on_driver(links, config),
                        run_on_oracle(links, config));
 }
 
 TEST(PlaneEquivalenceTest, FlakyLossyNetworkWithLateArrivals) {
   const auto [links, config] = flaky_lossy_case();
-  const NetKSetReport ring = run_on_ring(links, config);
+  const NetKSetReport driver = run_on_driver(links, config);
   const NetKSetReport eq = run_on_oracle(links, config);
-  expect_reports_equal(ring, eq);
+  expect_reports_equal(driver, eq);
   // The scenario must actually exercise the late/lost paths, or this
   // tripwire silently loses its teeth.
-  EXPECT_GT(ring.late_messages, 0);
-  EXPECT_GT(ring.lost_messages, 0);
+  EXPECT_GT(driver.late_messages, 0);
+  EXPECT_GT(driver.lost_messages, 0);
 }
 
 TEST(PlaneEquivalenceTest, DeadlineTiesResolveIdentically) {
   // Fixed-delay links with delay == D land every arrival exactly on
-  // the receiver's deadline — the one (time, seq) tie the ring plane
+  // the receiver's deadline — the one (time, seq) tie the driver
   // must reproduce analytically (close_precedes_delivery_at_tie).
   const ProcId n = 4;
   NetKSetConfig config;
@@ -171,39 +169,31 @@ TEST(PlaneEquivalenceTest, DeadlineTiesResolveIdentically) {
   config.net.round_duration = 1000;
   config.net.seed = 0x5EED03;
   const LinkMatrix links = LinkMatrix::all_timely(n, 1000, 1000);
-  const NetKSetReport ring = run_on_ring(links, config);
+  const NetKSetReport driver = run_on_driver(links, config);
   const NetKSetReport eq = run_on_oracle(links, config);
-  expect_reports_equal(ring, eq);
+  expect_reports_equal(driver, eq);
 }
 
 TEST(PlaneEquivalenceTest, TiedDeadlinesWithSkewedClocks) {
   const auto [links, config] = skewed_tie_case();
-  expect_reports_equal(run_on_ring(links, config),
+  expect_reports_equal(run_on_driver(links, config),
                        run_on_oracle(links, config));
 }
 
-TEST(PlaneEquivalenceTest, TinyRingDepthBackpressureChangesNothing) {
-  const auto [links, config] = tiny_ring_case();
-  // Depth 4 against n-1 = 7 inbound publishes per round: early drains
-  // must fire, and the report must not move an inch.
-  const NetKSetReport ring =
-      run_on_ring(links, config, /*ring_depth=*/4);
-  const NetKSetReport eq = run_on_oracle(links, config);
-  expect_reports_equal(ring, eq);
-  EXPECT_GT(ring.credit_stalls, 0);
+TEST(PlaneEquivalenceTest, SkewsSpanningTheRound) {
+  const auto [links, config] = wide_skew_case();
+  expect_reports_equal(run_on_driver(links, config),
+                       run_on_oracle(links, config));
 }
 
-TEST(PlaneEquivalenceTest, RingFragCountMatchesDeliveries) {
-  // On a clean all-timely network every non-self delivery crosses a
-  // ring exactly once (no lates, no ties, no stall re-publishes).
+TEST(PlaneEquivalenceTest, CleanTimelyNetworkWithoutSkews) {
   const ProcId n = 5;
   NetKSetConfig config;
   config.run.k = 1;
   config.net.seed = 0x5EED06;
   const LinkMatrix links = LinkMatrix::all_timely(n, 100, 800);
-  const NetKSetReport ring = run_on_ring(links, config);
-  EXPECT_GE(ring.ring_frags, ring.delivered_messages);
-  expect_reports_equal(ring, run_on_oracle(links, config));
+  expect_reports_equal(run_on_driver(links, config),
+                       run_on_oracle(links, config));
 }
 
 // --- Lockstep: the counters after every round and at every close -----------
@@ -264,33 +254,33 @@ CloseCounts close_counts(const Engine& engine) {
   return {engine.late_messages(), engine.lost_messages(), engine.now()};
 }
 
-/// Steps the ring driver and the oracle in lockstep for `rounds`
+/// Steps the driver and the oracle in lockstep for `rounds`
 /// rounds: delivered, late and lost counts and the clock must agree
 /// after every step(), and the late and lost counts and the clock at
 /// every close.
 void expect_counts_equal_every_round(const PlaneCase& c, Round rounds) {
   const ProcId n = c.links.n();
-  CloseLog ring_log;
+  CloseLog driver_log;
   CloseLog eq_log;
-  NetRoundDriver<SkeletonMessage> ring(
-      c.config.net, c.links, probed_processes(n, c.config.run, &ring_log));
+  NetRoundDriver<SkeletonMessage> driver(
+      c.config.net, c.links, probed_processes(n, c.config.run, &driver_log));
   oracles::EventQueueDriver<SkeletonMessage> eq(
       c.config.net, c.links, probed_processes(n, c.config.run, &eq_log));
-  ring_log.read = [&ring] { return close_counts(ring); };
+  driver_log.read = [&driver] { return close_counts(driver); };
   eq_log.read = [&eq] { return close_counts(eq); };
 
   for (Round r = 1; r <= rounds; ++r) {
-    ring.step();
+    driver.step();
     eq.step();
-    ASSERT_EQ(ring.delivered_messages(), eq.delivered_messages())
+    ASSERT_EQ(driver.delivered_messages(), eq.delivered_messages())
         << "round " << r;
-    ASSERT_EQ(ring.late_messages(), eq.late_messages()) << "round " << r;
-    ASSERT_EQ(ring.lost_messages(), eq.lost_messages()) << "round " << r;
-    ASSERT_EQ(ring.now(), eq.now()) << "round " << r;
+    ASSERT_EQ(driver.late_messages(), eq.late_messages()) << "round " << r;
+    ASSERT_EQ(driver.lost_messages(), eq.lost_messages()) << "round " << r;
+    ASSERT_EQ(driver.now(), eq.now()) << "round " << r;
   }
-  ASSERT_EQ(ring_log.at_close.size(), eq_log.at_close.size());
-  for (std::size_t i = 0; i < ring_log.at_close.size(); ++i) {
-    const CloseCounts& a = ring_log.at_close[i];
+  ASSERT_EQ(driver_log.at_close.size(), eq_log.at_close.size());
+  for (std::size_t i = 0; i < driver_log.at_close.size(); ++i) {
+    const CloseCounts& a = driver_log.at_close[i];
     const CloseCounts& b = eq_log.at_close[i];
     ASSERT_EQ(a.late, b.late) << "close " << i << " at t=" << b.now;
     ASSERT_EQ(a.lost, b.lost) << "close " << i << " at t=" << b.now;
@@ -306,10 +296,8 @@ TEST(PlaneEquivalenceTest, LockstepCountsSkewedTies) {
   expect_counts_equal_every_round(skewed_tie_case(), 30);
 }
 
-TEST(PlaneEquivalenceTest, LockstepCountsTinyRingDepth) {
-  PlaneCase c = tiny_ring_case();
-  c.config.net.ring_depth = 4;
-  expect_counts_equal_every_round(c, 30);
+TEST(PlaneEquivalenceTest, LockstepCountsSkewsSpanningTheRound) {
+  expect_counts_equal_every_round(wide_skew_case(), 30);
 }
 
 /// Late arrivals landing exactly on close instants. Skews 0, 500, 200,
@@ -395,6 +383,81 @@ TEST(PlaneEquivalenceTest, LockstepCountsLateArrivalsOnCloseInstants) {
   traced.run(10);
   EXPECT_GT(order.lates_on_close(/*after_close=*/false), 0);
   EXPECT_GT(order.lates_on_close(/*after_close=*/true), 0);
+
+  expect_counts_equal_every_round(c, 30);
+}
+
+/// On-time arrivals of round r + 1 landing exactly on the cut that
+/// completes round r. Skews 0, 400, 0 give the close order 0, 2, 1, so
+/// process 1's close completes every round. Senders 0 and 2 have one
+/// fixed delay of 400: their round-(r+1) messages, sent when they
+/// close round r, arrive exactly at 1's round-r close, the instant
+/// step() returns at. The oracle scheduled those deliveries after
+/// that close, so they must not count there. Sender 1's delay of 100
+/// lands nothing on a close.
+PlaneCase next_round_on_cut_case() {
+  const ProcId n = 3;
+  NetKSetConfig config;
+  config.run.k = 1;
+  config.net.round_duration = 1000;
+  config.net.seed = 0x5EED08;
+  config.net.skews = {0, 400, 0};
+  LinkMatrix links(n);
+  for (ProcId p = 0; p < n; ++p) {
+    LinkSpec spec;
+    spec.kind = LinkKind::kTimely;
+    spec.min_delay = p == 1 ? 100 : 400;
+    spec.max_delay = spec.min_delay;
+    for (ProcId q = 0; q < n; ++q) {
+      if (q != p) links.set(p, q, spec);
+    }
+  }
+  return {std::move(links), std::move(config)};
+}
+
+/// Counts, in a traced oracle run, the on-time deliveries of round
+/// r + 1 that run at the instant of the close completing round r.
+/// Rounds complete in order, so every n-th close is a cut.
+class NextRoundArrivalsOnCuts final : public NetTraceSink {
+ public:
+  explicit NextRoundArrivalsOnCuts(ProcId n) : n_(n) {}
+
+  void on_broadcast(Round, ProcId, const std::vector<std::uint8_t>&) override {
+  }
+  void on_delivery(DeliveryKind kind, Round r, ProcId, ProcId,
+                   SimTime time) override {
+    if (kind == DeliveryKind::kOnTime && r == completed_ + 1 &&
+        time == cut_time_) {
+      ++count_;
+    }
+  }
+  void on_close(Round r, ProcId, SimTime time) override {
+    if (++closes_ % n_ != 0) return;
+    completed_ = r;
+    cut_time_ = time;
+  }
+
+  [[nodiscard]] int count() const { return count_; }
+
+ private:
+  ProcId n_;
+  std::int64_t closes_ = 0;
+  Round completed_ = 0;
+  SimTime cut_time_ = -1;
+  int count_ = 0;
+};
+
+TEST(PlaneEquivalenceTest, LockstepCountsNextRoundArrivalsOnTheCut) {
+  const PlaneCase c = next_round_on_cut_case();
+  // The case must put next-round arrivals on the cut, or the
+  // accessor's tie rule and the settlement at round completion go
+  // unchecked.
+  NextRoundArrivalsOnCuts probe(c.links.n());
+  oracles::EventQueueDriver<SkeletonMessage> traced(
+      c.config.net, c.links, make_kset_processes(c.links.n(), c.config.run));
+  traced.set_trace_sink(&probe);
+  traced.run(10);
+  EXPECT_GT(probe.count(), 0);
 
   expect_counts_equal_every_round(c, 30);
 }

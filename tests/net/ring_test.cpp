@@ -1,6 +1,7 @@
 // Tests for the frag-ring transport: publish/poll order, wraparound
 // across many laps, seq-overrun detection and resync, and the RingMux
-// multi-producer merge (per-producer order preservation).
+// multi-producer merge (per-producer order preservation). Payload
+// values serve as the order markers.
 #include "net/ring.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,15 @@
 namespace sskel {
 namespace {
 
+/// Publishes `value` as the ring's next frag, in the payload slot its
+/// seq maps to (TilePlane's slot discipline).
+void publish_value(FragRing<int>& ring, int value) {
+  const auto slot = static_cast<std::uint32_t>(ring.seq_produced() %
+                                               ring.payload_slots());
+  ring.payload(slot) = value;
+  ring.publish(slot);
+}
+
 TEST(SeqArithmeticTest, WrapsSafely) {
   EXPECT_EQ(seq_diff(5, 3), 2);
   EXPECT_EQ(seq_diff(3, 5), -2);
@@ -19,12 +29,6 @@ TEST(SeqArithmeticTest, WrapsSafely) {
   EXPECT_EQ(seq_diff(near_max + 3, near_max), 3);
   EXPECT_TRUE(seq_lt(near_max, near_max + 2));
   EXPECT_FALSE(seq_lt(near_max + 2, near_max));
-}
-
-TEST(FragSigTest, PacksAndUnpacksEndpoints) {
-  const std::uint64_t sig = frag_sig(/*from=*/7, /*to=*/12);
-  EXPECT_EQ(sig_from(sig), 7);
-  EXPECT_EQ(sig_to(sig), 12);
 }
 
 TEST(FragRingTest, FreshCursorSeesEmptyRing) {
@@ -38,21 +42,19 @@ TEST(FragRingTest, FreshCursorSeesEmptyRing) {
 
 TEST(FragRingTest, PublishPollRoundTripPreservesDescriptors) {
   FragRing<int> ring(8);
+  // Slots in reverse publication order: the descriptor, not the seq,
+  // must carry the slot index.
   for (int i = 0; i < 5; ++i) {
-    ring.payload(static_cast<std::uint32_t>(i)) = 100 + i;
-    ring.publish(frag_sig(i, i + 1), static_cast<std::uint32_t>(i),
-                 /*round=*/i + 1, /*tsorig=*/10 * i, /*ctl=*/7);
+    const auto slot = static_cast<std::uint32_t>(7 - i);
+    ring.payload(slot) = 100 + i;
+    ring.publish(slot);
   }
   FragRing<int>::Cursor cursor;
   Frag frag;
   for (int i = 0; i < 5; ++i) {
     ASSERT_EQ(ring.poll(cursor, frag), PollStatus::kFrag);
     EXPECT_EQ(frag.seq, static_cast<std::uint64_t>(i));
-    EXPECT_EQ(sig_from(frag.sig), i);
-    EXPECT_EQ(sig_to(frag.sig), i + 1);
-    EXPECT_EQ(frag.round, i + 1);
-    EXPECT_EQ(frag.tsorig, 10 * i);
-    EXPECT_EQ(frag.ctl, 7u);
+    EXPECT_EQ(frag.slot, static_cast<std::uint32_t>(7 - i));
     EXPECT_EQ(ring.payload(frag.slot), 100 + i);
   }
   EXPECT_EQ(ring.poll(cursor, frag), PollStatus::kEmpty);
@@ -68,11 +70,11 @@ TEST(FragRingTest, WraparoundSurvivesManyLaps) {
   FragRing<int> ring(4);  // tiny: every 4 frags is a lap
   FragRing<int>::Cursor cursor;
   Frag frag;
-  for (std::uint64_t seq = 0; seq < 1000; ++seq) {
-    ring.publish(frag_sig(1, 2), 0, static_cast<Round>(seq), 0);
+  for (int i = 0; i < 1000; ++i) {
+    publish_value(ring, i);
     ASSERT_EQ(ring.poll(cursor, frag), PollStatus::kFrag);
-    EXPECT_EQ(frag.seq, seq);
-    EXPECT_EQ(frag.round, static_cast<std::int64_t>(seq));
+    EXPECT_EQ(frag.seq, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(ring.payload(frag.slot), i);
     EXPECT_EQ(ring.poll(cursor, frag), PollStatus::kEmpty);
   }
   EXPECT_EQ(cursor.overruns, 0);
@@ -81,9 +83,7 @@ TEST(FragRingTest, WraparoundSurvivesManyLaps) {
 TEST(FragRingTest, OverrunResyncsToOldestLiveFrag) {
   FragRing<int> ring(4);
   // Publish 6 frags without consuming: seqs 0 and 1 are overwritten.
-  for (int i = 0; i < 6; ++i) {
-    ring.publish(frag_sig(0, 1), 0, /*round=*/i, 0);
-  }
+  for (int i = 0; i < 6; ++i) publish_value(ring, i);
   FragRing<int>::Cursor cursor;  // still at seq 0
   Frag frag;
   // Resync is per-line (cursor.seq = tag - mask): the lapped cursor
@@ -99,14 +99,14 @@ TEST(FragRingTest, OverrunResyncsToOldestLiveFrag) {
   // the resync point.
   for (int expect = 2; expect < 6; ++expect) {
     ASSERT_EQ(ring.poll(cursor, frag), PollStatus::kFrag);
-    EXPECT_EQ(frag.round, expect);
+    EXPECT_EQ(ring.payload(frag.slot), expect);
   }
   EXPECT_EQ(ring.poll(cursor, frag), PollStatus::kEmpty);
 }
 
 TEST(FragRingTest, IndependentCursorsConsumeIndependently) {
   FragRing<int> ring(8);
-  for (int i = 0; i < 3; ++i) ring.publish(frag_sig(0, 1), 0, i, 0);
+  for (int i = 0; i < 3; ++i) publish_value(ring, i);
   FragRing<int>::Cursor a;
   FragRing<int>::Cursor b;
   Frag frag;
@@ -115,7 +115,7 @@ TEST(FragRingTest, IndependentCursorsConsumeIndependently) {
   // Cursor b still sees everything from the start.
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(ring.poll(b, frag), PollStatus::kFrag);
-    EXPECT_EQ(frag.round, i);
+    EXPECT_EQ(ring.payload(frag.slot), i);
   }
 }
 
@@ -125,22 +125,26 @@ TEST(RingMuxTest, PreservesPerProducerOrder) {
   RingMux<int> mux;
   const std::size_t ia = mux.attach(&ring_a);
   const std::size_t ib = mux.attach(&ring_b);
-  // Interleave publishes; rounds encode (producer, position).
-  ring_a.publish(frag_sig(0, 9), 0, 100, 0);
-  ring_b.publish(frag_sig(1, 9), 0, 200, 0);
-  ring_a.publish(frag_sig(0, 9), 0, 101, 0);
-  ring_b.publish(frag_sig(1, 9), 0, 201, 0);
-  ring_a.publish(frag_sig(0, 9), 0, 102, 0);
+  // Interleave publishes; payloads encode (producer, position).
+  publish_value(ring_a, 100);
+  publish_value(ring_b, 200);
+  publish_value(ring_a, 101);
+  publish_value(ring_b, 201);
+  publish_value(ring_a, 102);
 
-  std::vector<std::int64_t> from_a;
-  std::vector<std::int64_t> from_b;
+  std::vector<int> from_a;
+  std::vector<int> from_b;
   Frag frag;
   std::size_t producer = 0;
   while (mux.poll(frag, producer) == PollStatus::kFrag) {
-    (producer == ia ? from_a : from_b).push_back(frag.round);
+    if (producer == ia) {
+      from_a.push_back(ring_a.payload(frag.slot));
+    } else {
+      from_b.push_back(ring_b.payload(frag.slot));
+    }
   }
-  EXPECT_EQ(from_a, (std::vector<std::int64_t>{100, 101, 102}));
-  EXPECT_EQ(from_b, (std::vector<std::int64_t>{200, 201}));
+  EXPECT_EQ(from_a, (std::vector<int>{100, 101, 102}));
+  EXPECT_EQ(from_b, (std::vector<int>{200, 201}));
   EXPECT_EQ(mux.seq_consumed(ia), 3u);
   EXPECT_EQ(mux.seq_consumed(ib), 2u);
   EXPECT_EQ(mux.overruns(ia), 0);
@@ -153,8 +157,8 @@ TEST(RingMuxTest, RoundRobinDoesNotStarveAnyProducer) {
   RingMux<int> mux;
   mux.attach(&busy);
   const std::size_t iq = mux.attach(&quiet);
-  for (int i = 0; i < 32; ++i) busy.publish(frag_sig(0, 1), 0, i, 0);
-  quiet.publish(frag_sig(1, 1), 0, 999, 0);
+  for (int i = 0; i < 32; ++i) publish_value(busy, i);
+  publish_value(quiet, 999);
 
   // The quiet producer's single frag must surface within one sweep of
   // the inputs, not after the busy ring drains.
@@ -165,7 +169,8 @@ TEST(RingMuxTest, RoundRobinDoesNotStarveAnyProducer) {
     ++polls_until_quiet;
     if (producer == iq) break;
   }
-  EXPECT_EQ(frag.round, 999);
+  ASSERT_EQ(producer, iq);
+  EXPECT_EQ(quiet.payload(frag.slot), 999);
   EXPECT_LE(polls_until_quiet, 2);
 }
 

@@ -1,7 +1,7 @@
 // Full-run capture on the network substrate (DESIGN.md §14).
 //
 // Three properties anchor the record/replay workflow:
-//  1. The ring-plane driver and the event-queue oracle produce
+//  1. NetRoundDriver and the event-queue oracle produce
 //     *identical* captures — not just identical reports: same
 //     broadcasts, same delivery fates in the same schedule order, same
 //     closes. The driver earns this by scheduling one stand-in trace
@@ -135,7 +135,7 @@ TEST(TraceCaptureTest, PlanesProduceIdenticalCaptures) {
 
 TEST(TraceCaptureTest, DeadlineTieCapturesAgreeAcrossPlanes) {
   // delay == D lands every arrival exactly on the receiver's deadline:
-  // the close/delivery tie is the one schedule point the ring plane
+  // the close/delivery tie is the one schedule point the driver
   // resolves analytically rather than through the event queue.
   const ProcId n = 4;
   NetKSetConfig config;

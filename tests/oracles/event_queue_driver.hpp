@@ -1,19 +1,20 @@
 // The event-queue reference for the network message plane.
 //
-// NetRoundDriver (src/net/driver.hpp) moves on-time messages through
-// frag rings and decides timeliness analytically against the
-// receiver's deadline. This header is the specification it is checked
-// against: the same round synchronizer written the direct way, with
-// one scheduled event per point-to-point message and each round close
-// as one more event in the same deterministic (time, seq) order. Given
-// the same NetConfig, links and processes, the two must consume the
-// RNG identically and produce bit-identical reports, message counters,
-// simulated clocks and captures; only the capture's source tag
-// differs (kNetEventQueue here). Unlike the driver, which deposits
-// pointers into its dcache and relies on the parity slots outliving
-// every close, the oracle copies each delivered message into its own
-// inbox storage, so it checks that lifetime argument instead of
-// sharing it. The plane tripwires
+// NetRoundDriver (src/net/driver.hpp) decides timeliness analytically
+// against the receiver's deadline when a message is sent, deposits
+// on-time messages into the inboxes right then and counts them at
+// their arrival instants. This header is the specification it is
+// checked against: the same round synchronizer written the direct
+// way, with one scheduled event per point-to-point message and each
+// round close as one more event in the same deterministic (time, seq)
+// order. Given the same NetConfig, links and processes, the two must
+// consume the RNG identically and produce bit-identical reports,
+// message counters, simulated clocks and captures; only the capture's
+// source tag differs (kNetEventQueue here). Unlike the driver, which
+// deposits pointers into its dcache and relies on the parity slots
+// outliving every close, the oracle copies each delivered message into
+// its own inbox storage, so it checks that lifetime argument instead
+// of sharing it. The plane tripwires
 // (tests/net/plane_equivalence_test.cpp, trace_capture_test.cpp) and
 // the net fuzz targets compare the driver against it.
 #pragma once
@@ -42,8 +43,7 @@ class EventQueueDriver final : public RoundEngine<Msg> {
   using TraceEncoder =
       std::function<void(const Msg&, std::vector<std::uint8_t>&)>;
 
-  /// NetRoundDriver's constructor contract; `config.ring_depth` is
-  /// ignored (there are no rings).
+  /// NetRoundDriver's constructor contract.
   EventQueueDriver(NetConfig config, LinkMatrix links,
                    std::vector<std::unique_ptr<Process>> processes)
       : config_(std::move(config)),

@@ -6,8 +6,8 @@ Usage:
     bench_diff.py select-baseline RUNS_JSON --current-run ID \
         --branch BRANCH [--default-branch main]
 
-Records are matched on their identity fields (op plus n/k/adversary/
-plane/tiles when present). For every matched pair the timing fields
+Records are matched on their identity fields (op plus n/k/j/rounds/
+adversary/plane/tiles/round_duration_us when present). For every matched pair the timing fields
 (*_ns, ns_per_op), throughput rates (*_per_sec — higher is better),
 percentage overheads (*_pct — lower is better, with an absolute
 tolerance band like means) and work counters (subsets_visited*,
@@ -39,7 +39,7 @@ import sys
 
 # Fields that identify a record rather than measure it.
 IDENTITY_FIELDS = ("op", "adversary", "n", "k", "j", "rounds", "plane",
-                   "tiles")
+                   "tiles", "round_duration_us")
 # Measured fields compared against the threshold: (suffix, noise floor).
 TIMING_SUFFIXES = ("_ns", "ns_per_op")
 # Throughput rates: higher is better, so the regression direction flips.

@@ -157,7 +157,8 @@ class MeasuredFieldsTest(unittest.TestCase):
 class DiffDirectionTest(unittest.TestCase):
     """End-to-end diff runs over temp files: regression directions."""
 
-    def run_diff(self, base_records, cur_records, threshold=2.0):
+    @staticmethod
+    def run_diff(base_records, cur_records, threshold=2.0):
         import json
         import tempfile
         with tempfile.TemporaryDirectory() as tmp:
@@ -234,6 +235,33 @@ class DiffDirectionTest(unittest.TestCase):
         cur = [{"op": "plane_throughput", "plane": "ring",
                 "process_rounds_per_sec": 1.6e6}]
         self.assertEqual(self.run_diff(base, cur), 0)
+
+
+class CommittedBaselineTest(unittest.TestCase):
+    """The committed BENCH_network.json, loaded as the diff loads it."""
+
+    PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "BENCH_network.json")
+
+    def committed_records(self):
+        import json
+        with open(self.PATH, encoding="utf-8") as f:
+            return json.load(f)["records"]
+
+    def test_every_committed_record_has_its_own_key(self):
+        # E11's timeout_sweep rows differ only in round_duration_us; a
+        # key without it collapses the sweep into its last row.
+        _, loaded = bench_diff.load_records(self.PATH)
+        self.assertEqual(len(loaded), len(self.committed_records()))
+
+    def test_late_regression_at_one_round_duration_fails(self):
+        base = self.committed_records()
+        cur = [dict(r) for r in base]
+        for record in cur:
+            if (record["op"] == "timeout_sweep"
+                    and record["round_duration_us"] == 400):
+                record["mean_late_messages"] *= 3
+        self.assertEqual(DiffDirectionTest.run_diff(base, cur), 1)
 
 
 if __name__ == "__main__":
