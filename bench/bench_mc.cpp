@@ -2,13 +2,11 @@
 // service (DESIGN.md §13).
 //
 // The fleet workload is many small trial batches against a scenario
-// whose structure space has *converged*: after the first sweep the
-// intern domain already holds every skeleton structure the adversary
-// can produce, so a trial is mostly round execution plus fixed costs.
-// McTilePlane keeps those fixed costs off the per-batch path:
-// persistent tiles, a domain that survives from batch to batch
-// (analytics converge once, globally), and per-tile trial scratch that
-// resets engine and processes in place instead of reconstructing them.
+// whose structure space has *converged*: every trial meets the same
+// few skeletons, so a trial is mostly round execution plus fixed
+// costs. McTilePlane keeps those fixed costs off the per-batch path:
+// persistent tiles and per-tile trial scratch that resets engine,
+// processes and tracker in place instead of reconstructing them.
 //
 // Every batch's digest (a cheap projection of the trial-derived
 // summary fields) must equal that of a serial left fold of the same
@@ -49,8 +47,8 @@ using Clock = std::chrono::steady_clock;
 
 /// Trial-derived projection of a summary: any divergence from the
 /// serial fold in any trial perturbs at least one of these.
-/// Service-level fields (intern stats, tile provenance, memory marks)
-/// are deliberately excluded — the serial fold has none.
+/// Service-level fields (tile provenance, memory marks) are
+/// deliberately excluded — the serial fold has none.
 [[nodiscard]] std::string summary_digest(const McSummary& s) {
   std::string d;
   d += std::to_string(s.runs) + "|" + std::to_string(s.undecided_runs);
@@ -74,9 +72,8 @@ int main() {
   // stable from round 1, so the structure space is tiny and converges
   // within the first batch. Small n keeps per-trial execution short,
   // which is exactly the fleet regime where per-batch and per-trial
-  // fixed costs (engine/process construction, fresh-domain analytics)
-  // would dominate the batch — the cost class the tile plane
-  // eliminates.
+  // fixed costs (engine/process construction) would dominate the
+  // batch — the cost class the tile plane eliminates.
   const ProcId n = 4;
   PartitionParams params;
   params.blocks = even_blocks(n, 2);
@@ -102,7 +99,7 @@ int main() {
     const std::uint64_t master = 0xE15BA5E;
 
     // Reference digests: batch b (seed master + b) folded serially —
-    // one thread, no scratch, no interning.
+    // one thread, no scratch.
     std::vector<std::string> reference;
     reference.reserve(static_cast<std::size_t>(batches));
     for (int b = 0; b < batches; ++b) {
@@ -120,24 +117,19 @@ int main() {
     }
 
     // One plane reused across every batch — the per-trial state
-    // (engines, trackers, intern shards) persists. An untimed warm-up
-    // (allocator, code, tile threads, intern-domain convergence) comes
-    // first, then `reps` identically seeded timed repetitions; the
-    // minimum elapsed is the score, so it measures steady-state batch
-    // cost, not noise on a busy host. The convergence cost itself is
-    // reported below (batch-1 misses).
+    // (engines, trackers, processes) persists. An untimed warm-up
+    // (allocator, code, tile threads) comes first, then `reps`
+    // identically seeded timed repetitions; the minimum elapsed is the
+    // score, so it measures steady-state batch cost, not noise on a
+    // busy host.
     McTilePlane plane(scenario, McPlaneOptions{});
-    McSummary last_plane_summary;
-    std::int64_t first_batch_misses = 0;
     auto plane_batch = [&](int b) {
-      last_plane_summary = plane.run(master + static_cast<std::uint64_t>(b),
-                                     trials_per_batch, config);
-      return summary_digest(last_plane_summary);
+      return summary_digest(plane.run(master + static_cast<std::uint64_t>(b),
+                                      trials_per_batch, config));
     };
     for (int b = 0; b < warm_batches; ++b) {
-      const std::string digest = plane_batch(b % batches);
-      if (b == 0) first_batch_misses = last_plane_summary.intern.misses;
-      SSKEL_ASSERT(digest == reference[static_cast<std::size_t>(b % batches)]);
+      SSKEL_ASSERT(plane_batch(b % batches) ==
+                   reference[static_cast<std::size_t>(b % batches)]);
     }
     double plane_s = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -156,28 +148,18 @@ int main() {
     Table table("batched service throughput (" + std::to_string(batches) +
                     " batches x " + std::to_string(trials_per_batch) +
                     " trials, best of " + std::to_string(reps) + " reps)",
-                {"scheduler", "trials/s", "elapsed (ms)", "intern misses",
-                 "intern hits"});
+                {"scheduler", "trials/s", "elapsed (ms)"});
     table.add_row({"tile-plane service", cell(plane_rate, 0),
-                   cell(plane_s * 1000.0, 1),
-                   cell(last_plane_summary.intern.misses),
-                   cell(last_plane_summary.intern.hits)});
+                   cell(plane_s * 1000.0, 1)});
     table.print(std::cout);
     std::cout << "digests equal to the serial fold on every batch of every "
-                 "rep\n"
-              << "domain convergence: " << first_batch_misses
-              << " misses in batch 1 vs "
-              << last_plane_summary.intern.misses << " total after "
-              << warm_batches + reps * batches << " batches\n\n";
+                 "rep\n\n";
 
     json.add("service_speedup")
         .set("batches", batches)
         .set("trials_per_batch", trials_per_batch)
         .set("timing_reps", reps)
         .set("plane_trials_per_sec", plane_rate)
-        .set("first_batch_intern_misses", first_batch_misses)
-        .set("final_intern_misses", last_plane_summary.intern.misses)
-        .set("final_intern_hits", last_plane_summary.intern.hits)
         .set("trials_executed", plane.trials_executed());
   }
 

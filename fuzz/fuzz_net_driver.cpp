@@ -22,6 +22,7 @@
 
 using namespace sskel;
 using sskel::fuzz::FuzzInput;
+using sskel::fuzz::FuzzSeed;
 
 namespace {
 
@@ -133,4 +134,42 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   rebased.header.source = TraceSource::kNetEventQueue;
   SSKEL_REQUIRE(rebased == eq.capture);
   return 0;
+}
+
+/// Seeds that reach late arrivals: the largest universe, 24 rounds,
+/// skewed clocks, flaky links at 0.5 and 0.75, and timely links whose
+/// delays straddle the round deadline. Written in the reads' order.
+extern "C" void sskel_fuzz_seed_corpus(
+    std::vector<std::vector<std::uint8_t>>* out) {
+  struct Shape {
+    std::uint32_t duration_step;  // D = 200 * step
+    std::uint32_t flaky_quarters;
+    std::uint32_t lo_below_d;  // timely delays in [D - lo_below_d, D]
+    std::uint64_t seed;
+  };
+  const Shape shapes[] = {{5, 2, 40, 0x5EED01}, {5, 3, 0, 0x5EED02},
+                          {3, 3, 120, 0x5EED03}, {5, 2, 300, 0x5EED04}};
+  constexpr std::uint32_t kN = 6;
+  for (const Shape& shape : shapes) {
+    const std::uint32_t d = 200 * shape.duration_step;
+    FuzzSeed seed;
+    seed.in_range(2, 6, kN)
+        .in_range(1, 5, shape.duration_step)
+        .in_range(1, 3, 2)     // k
+        .in_range(4, 24, 24)   // max_rounds
+        .in_range(0, 2, 2)     // tail_rounds
+        .u64(shape.seed);
+    for (std::uint32_t p = 0; p < kN; ++p) {
+      seed.in_range(0, d - 1, (p * 337 + 113) % d);  // nonzero skews
+    }
+    seed.in_range(0, 3, shape.flaky_quarters).in_range(0, 12, 12);
+    for (std::uint32_t e = 0; e < 12; ++e) {  // a ring, then chords
+      const std::uint32_t from = e % kN;
+      const std::uint32_t hop = e < kN ? 1 : 3;
+      seed.in_range(0, kN - 1, from).in_range(0, kN - 1, (from + hop) % kN);
+    }
+    const std::uint32_t lo = d - shape.lo_below_d;
+    seed.in_range(1, d, lo).in_range(0, d - lo, d - lo);
+    out->push_back(seed.bytes());
+  }
 }

@@ -4,10 +4,10 @@
 // A *campaign* is a sweep: a list of jobs, each (scenario, master
 // seed, trial count), folded under one run config. Where the batch
 // API (McTilePlane::run) pays its ramp — window allocation, ring
-// warm-up, intern re-analysis — once per call, the campaign engine
-// keeps one McTilePlane hot per distinct scenario and streams every
-// job's trials through the plane's submit rings from a persistent
-// cursor, so sustained trials/sec over a long sweep matches
+// warm-up — once per call, the campaign engine keeps one McTilePlane
+// hot per distinct scenario and streams every job's trials through
+// the plane's submit rings from a persistent cursor, so sustained
+// trials/sec over a long sweep matches
 // back-to-back batches (bench_campaign gates ≥ 0.95x with
 // checkpointing on).
 //
@@ -181,7 +181,7 @@ class CampaignEngine {
   CampaignOptions options_;
   /// One hot plane per distinct scenario object, created on first use
   /// and kept for the engine's lifetime (jobs sharing a scenario
-  /// share its plane — and its warmed intern shards).
+  /// share its plane — and its warmed tile scratch).
   std::vector<std::pair<const ScenarioFactory*, std::unique_ptr<McTilePlane>>>
       planes_;
 };

@@ -33,18 +33,11 @@ std::vector<std::unique_ptr<Algorithm<SkeletonMessage>>> make_kset_processes(
       config.proposals.empty() ? default_proposals(n) : config.proposals;
   SSKEL_REQUIRE(proposals.size() == static_cast<std::size_t>(n));
 
-  // One shard resolution for the whole vector: processes built here
-  // run on the thread that builds them (trials execute start-to-finish
-  // on one worker), so the thread-local shard is the right table.
-  StructureInternTable* table =
-      config.intern != nullptr ? &config.intern->local() : nullptr;
-
   std::vector<std::unique_ptr<Algorithm<SkeletonMessage>>> procs;
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     auto proc = std::make_unique<SkeletonKSetProcess>(
         n, p, proposals[static_cast<std::size_t>(p)], config.guard);
-    proc->set_intern_table(table);
     procs.push_back(std::move(proc));
   }
   return procs;
@@ -243,9 +236,7 @@ KSetRunReport run_kset(GraphSource& source, const KSetRunConfig& config,
     impl.guard = config.guard;
   } else {
     // Reuse: rebind the engine and restore every process and the
-    // tracker to the state first use would have constructed —
-    // including the per-call intern-shard binding, which must come
-    // from the *current* thread and the *current* config.
+    // tracker to the state first use would have constructed.
     impl.sim->reset(source);
     impl.tracker->reset();
     const std::vector<Value>* proposals = &config.proposals;
@@ -256,16 +247,15 @@ KSetRunReport run_kset(GraphSource& source, const KSetRunConfig& config,
       proposals = &impl.default_props;
     }
     SSKEL_REQUIRE(proposals->size() == static_cast<std::size_t>(n));
-    StructureInternTable* table =
-        config.intern != nullptr ? &config.intern->local() : nullptr;
     for (ProcId p = 0; p < n; ++p) {
-      SkeletonKSetProcess* proc = impl.views[static_cast<std::size_t>(p)];
-      proc->reset((*proposals)[static_cast<std::size_t>(p)]);
-      proc->set_intern_table(table);
+      impl.views[static_cast<std::size_t>(p)]->reset(
+          (*proposals)[static_cast<std::size_t>(p)]);
     }
     ++impl.reuses;
   }
 
+  // The tracker's intern-shard binding comes from the *current*
+  // thread and the *current* config (reset() detached the last one).
   if (config.intern != nullptr) {
     impl.tracker->attach_intern(&config.intern->local());
   }

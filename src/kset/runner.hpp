@@ -53,14 +53,13 @@ struct KSetRunConfig {
   /// Install the wire codec as message sizer (experiment E5).
   bool measure_bytes = false;
 
-  /// Optional run-wide structure interning (skeleton/intern.hpp,
-  /// DESIGN.md §10), non-owning: each process and the skeleton
-  /// tracker resolve structure changes through the calling thread's
-  /// shard of this domain, so identical structures — across processes
-  /// within a round and across trials on the same worker — share one
-  /// analytics computation. The domain must outlive the run.
-  /// McTilePlane supplies its persistent one automatically; direct
-  /// run_kset callers opt in explicitly.
+  /// Optional structure interning (skeleton/intern.hpp, DESIGN.md
+  /// §10), non-owning and opt-in: the skeleton tracker (and the lemma
+  /// monitor, when attached) resolve their skeletons through the
+  /// calling thread's shard of this domain. The processes never
+  /// intern; they answer Lines 25 and 28 from their own rows. The
+  /// domain must outlive the run. McTilePlane passes it through and
+  /// supplies none of its own.
   InternDomain* intern = nullptr;
 };
 
@@ -121,9 +120,10 @@ make_kset_processes(ProcId n, const KSetRunConfig& config);
 /// serves one thread; the tile plane keeps one per tile.
 ///
 /// The scratch is revalidated per call: a different n or decision
-/// guard rebuilds the engine, and the intern-table binding is
-/// refreshed from the *calling thread's* shard every trial, so a
-/// scratch is safe across configs and (sequentially) across threads.
+/// guard rebuilds the engine, and the tracker's intern-table binding
+/// (when config.intern is set) is refreshed from the *calling
+/// thread's* shard every trial, so a scratch is safe across configs
+/// and (sequentially) across threads.
 class KSetTrialScratch {
  public:
   KSetTrialScratch();

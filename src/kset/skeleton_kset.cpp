@@ -4,34 +4,9 @@
 #include <bit>
 #include <utility>
 
-#include "skeleton/intern.hpp"
 #include "util/metrics.hpp"
 
 namespace sskel {
-
-namespace {
-
-/// Nodes `start` reaches over the out-edge rows inside `mask`, as one
-/// counted reachability fixpoint.
-ProcSet reached_from(const std::vector<ProcSet>& rows, ProcId start,
-                     const ProcSet& mask) {
-  metrics::add(metrics::Counter::kReachabilityComputations, 1);
-  ProcSet visited = ProcSet::singleton(mask.universe(), start);
-  ProcSet frontier = visited;
-  ProcSet next(mask.universe());
-  while (!frontier.empty()) {
-    next.clear();
-    for (ProcId v : frontier) {
-      next.or_and(rows[static_cast<std::size_t>(v)], mask);
-    }
-    next -= visited;
-    visited |= next;
-    std::swap(frontier, next);
-  }
-  return visited;
-}
-
-}  // namespace
 
 SkeletonKSetProcess::SkeletonKSetProcess(ProcId n, ProcId id, Value proposal,
                                          DecisionGuard guard)
@@ -45,6 +20,7 @@ SkeletonKSetProcess::SkeletonKSetProcess(ProcId n, ProcId id, Value proposal,
       rows_(static_cast<std::size_t>(n) * span_),
       snapshot_nodes_(n),
       snapshot_rows_(rows_.size()),
+      bfs_(3 * span_),
       cached_keep_(n) {
   state_.lambda.assign(static_cast<std::size_t>(n), 0);
   state_.history.assign(static_cast<std::size_t>(n), nullptr);
@@ -67,9 +43,6 @@ void SkeletonKSetProcess::reset(Value proposal) {
   cached_sc_ = false;
   cached_sc_valid_ = false;
   reach_cache_hits_ = 0;
-  intern_ = nullptr;
-  entry_ = nullptr;
-  intern_resolutions_ = 0;
 }
 
 SkeletonMessage SkeletonKSetProcess::send(Round /*r*/) {
@@ -132,21 +105,23 @@ bool SkeletonKSetProcess::merge_and_purge(Round r,
          rows_ != snapshot_rows_;
 }
 
-ProcSet SkeletonKSetProcess::reaching_owner() const {
+void SkeletonKSetProcess::closure(const std::uint64_t* rows) {
   metrics::add(metrics::Counter::kReachabilityComputations, 1);
-  std::vector<std::uint64_t> visited(span_, 0);
-  std::vector<std::uint64_t> frontier(span_, 0);
-  std::vector<std::uint64_t> next(span_);
+  std::uint64_t* visited = bfs_.data();
+  std::uint64_t* frontier = visited + span_;
+  std::uint64_t* next = frontier + span_;
+  std::fill(visited, visited + span_, 0);
+  std::fill(frontier, frontier + span_, 0);
   const auto p = static_cast<std::size_t>(id());
   visited[p / 64] = frontier[p / 64] = std::uint64_t{1} << (p % 64);
   for (bool more = true; more;) {
-    std::fill(next.begin(), next.end(), 0);
+    std::fill(next, next + span_, 0);
     for (std::size_t w = 0; w < span_; ++w) {
       for (std::uint64_t bits = frontier[w]; bits != 0; bits &= bits - 1) {
         const std::size_t v =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        const std::uint64_t* in = snapshot_rows_.data() + v * span_;
-        for (std::size_t x = 0; x < span_; ++x) next[x] |= in[x];
+        const std::uint64_t* row = rows + v * span_;
+        for (std::size_t x = 0; x < span_; ++x) next[x] |= row[x];
       }
     }
     more = false;
@@ -157,33 +132,41 @@ ProcSet SkeletonKSetProcess::reaching_owner() const {
     }
     std::swap(frontier, next);
   }
-  ProcSet keep(n());
-  for (std::size_t w = 0; w < span_; ++w) keep.or_word_at(w, visited[w]);
-  return keep;
 }
 
-void SkeletonKSetProcess::transpose_snapshot() {
-  if (out_rows_.empty()) {
-    out_rows_.assign(static_cast<std::size_t>(n()), ProcSet(n()));
-  }
-  for (ProcSet& out : out_rows_) out.clear();
-  const std::uint64_t* row = snapshot_rows_.data();
-  for (std::size_t q = 0; q < out_rows_.size(); ++q, row += span_) {
-    for (std::size_t w = 0; w < span_; ++w) {
-      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t src =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        out_rows_[src].insert(static_cast<ProcId>(q));
-      }
-    }
+void SkeletonKSetProcess::prune_to_reaching_owner() {
+  closure(snapshot_rows_.data());
+  cached_keep_.clear();
+  for (std::size_t w = 0; w < span_; ++w) {
+    cached_keep_.or_word_at(w, bfs_[w]);
   }
 }
 
 bool SkeletonKSetProcess::pruned_strongly_connected() {
   // Every kept node reaches p, so the pruned graph is strongly
-  // connected iff p reaches every kept node.
-  transpose_snapshot();
-  return reached_from(out_rows_, id(), cached_keep_) == cached_keep_;
+  // connected iff p reaches every kept node. Nothing p reaches lies
+  // outside the keep-set (DESIGN.md §8.1: an edge into x needs
+  // λ_p(x) above the cutoff, and then the chain that carried λ_p(x)
+  // to p is a path from x to p), so an unrestricted forward closure
+  // equals the keep-set exactly when the answer is yes. The closure
+  // needs out-edge rows: transpose the snapshot.
+  const auto n = static_cast<std::size_t>(this->n());
+  out_rows_.assign(snapshot_rows_.size(), 0);
+  const std::uint64_t* row = snapshot_rows_.data();
+  for (std::size_t q = 0; q < n; ++q, row += span_) {
+    for (std::size_t w = 0; w < span_; ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t src =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        out_rows_[src * span_ + q / 64] |= std::uint64_t{1} << (q % 64);
+      }
+    }
+  }
+  closure(out_rows_.data());
+  for (std::size_t w = 0; w < span_; ++w) {
+    if (bfs_[w] != cached_keep_.word_at(w)) return false;
+  }
+  return true;
 }
 
 void SkeletonKSetProcess::transition(Round r,
@@ -229,24 +212,8 @@ void SkeletonKSetProcess::transition(Round r,
     std::swap(rows_, snapshot_rows_);
     snapshot_nodes_ = candidates_;
     snapshot_valid_ = true;
-    entry_ = nullptr;
-    if (intern_ != nullptr) {
-      transpose_snapshot();
-      entry_ = intern_->intern(snapshot_nodes_, out_rows_);
-    }
-    if (entry_ != nullptr) {
-      // Shared path (DESIGN.md §10): the canonical entry serves the
-      // keep-set and the post-prune connectivity verdict from its
-      // condensation reach closure — computed once per distinct
-      // structure run-wide, bit-equal to the private fixpoints.
-      ++intern_resolutions_;
-      cached_keep_ = entry_->keep_set(id());
-      cached_sc_ = entry_->pruned_strongly_connected(id());
-      cached_sc_valid_ = true;
-    } else {
-      cached_keep_ = reaching_owner();
-      cached_sc_valid_ = false;
-    }
+    prune_to_reaching_owner();
+    cached_sc_valid_ = false;
   }
   // N_p := the keep-set; λ_p forgets the pruned candidates.
   for (ProcId q : candidates_) {

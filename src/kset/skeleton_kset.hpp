@@ -28,6 +28,13 @@
 //     min(λ_p(q), t(q', q)) > max(r - n, 0)                 (L24)
 //   N_p := candidates reaching p over those edges           (L25)
 //
+// p answers Lines 25 and 28 from its own rows alone: a backward
+// closure over the in-edge rows gives N_p, and a forward closure over
+// their transpose decides strong connectivity. Both run only when the
+// structure changed, on member word buffers: after the first
+// structure change no round allocates, except that the first Line-28
+// evaluation sizes the transpose buffer (DESIGN.md §8).
+//
 // approximation() and the message codec derive the labeled G_p on
 // demand; the dense line-by-line process is the test oracle in
 // tests/oracles/dense_kset.hpp, and the tripwires hold the two equal
@@ -52,7 +59,6 @@
 namespace sskel {
 
 class StructureInternTable;
-class InternedStructure;
 
 /// How a decision was reached.
 enum class DecisionPath {
@@ -76,10 +82,8 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
   /// Restores the freshly-constructed state for a new trial with a
   /// (possibly different) proposal, reusing the state and structure-
   /// cache buffers instead of reallocating them. n, id and guard are
-  /// fixed; the intern table detaches (the next trial's table may
-  /// belong to a different run — call set_intern_table again). The
-  /// scheduler-equivalence tripwire (tests/mc/mc_plane_test.cpp) pins
-  /// reset == construct.
+  /// fixed. The scheduler-equivalence tripwire
+  /// (tests/mc/mc_plane_test.cpp) pins reset == construct.
   void reset(Value proposal);
 
   [[nodiscard]] SkeletonMessage send(Round r) override;
@@ -115,26 +119,10 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
     return reach_cache_hits_;
   }
 
-  /// Attaches a run-scoped structure intern table (skeleton/intern.hpp):
-  /// whenever the post-purge structure changes, the process resolves it
-  /// to the canonical interned entry and takes the Line-25 keep-set and
-  /// Line-28 verdict from the shared analytics — so n processes holding
-  /// the same skeleton pay for the reachability work once, not n times.
-  /// Rounds whose structure repeats keep the allocation-free snapshot
-  /// fast path (no rehash). nullptr detaches. On table overflow the
-  /// process transparently falls back to its private computation.
-  void set_intern_table(StructureInternTable* table) { intern_ = table; }
-
-  /// The interned entry backing the current cached keep-set/verdict,
-  /// or nullptr (no table, overflow, or private path). Test hook.
-  [[nodiscard]] const InternedStructure* intern_entry() const {
-    return entry_;
-  }
-
-  /// Structure changes resolved through the intern table.
-  [[nodiscard]] std::int64_t intern_resolutions() const {
-    return intern_resolutions_;
-  }
+  /// Does nothing: the process answers Lines 25 and 28 from its own
+  /// rows (DESIGN.md §8.1) and consults no intern table. Kept only
+  /// because perfbench/src/traced_kset.cpp still calls it.
+  void set_intern_table(StructureInternTable* /*table*/) {}
 
  private:
   [[nodiscard]] bool guard_passed(Round r) const {
@@ -147,14 +135,17 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
   /// the snapshot.
   bool merge_and_purge(Round r, const Inbox<SkeletonMessage>& inbox);
 
-  /// Line 25 on the snapshot structure, privately: the candidates
-  /// that reach p, by a backward BFS over the in-edge rows.
-  [[nodiscard]] ProcSet reaching_owner() const;
+  /// Grows the visited words of bfs_ from {id()} to the closure over
+  /// packed rows (row v, span_ words at rows + v * span_, lists the
+  /// nodes one step from v). One counted reachability fixpoint; no
+  /// allocation.
+  void closure(const std::uint64_t* rows);
 
-  /// Out-edge rows of the snapshot structure, into out_rows_.
-  void transpose_snapshot();
+  /// Line 25 on the snapshot structure: the candidates that reach p,
+  /// by a backward closure over the in-edge rows, into cached_keep_.
+  void prune_to_reaching_owner();
 
-  /// Line 28 on the pruned snapshot structure, privately.
+  /// Line 28 on the pruned snapshot structure.
   [[nodiscard]] bool pruned_strongly_connected();
 
   Value proposal_;
@@ -184,18 +175,15 @@ class SkeletonKSetProcess final : public Algorithm<SkeletonMessage> {
   bool snapshot_valid_ = false;
   ProcSet snapshot_nodes_;
   std::vector<std::uint64_t> snapshot_rows_;
-  std::vector<ProcSet> out_rows_;  // transposed snapshot, sized on first use
+  /// The snapshot's out-edge rows, packed like snapshot_rows_; sized
+  /// on the first Line-28 evaluation.
+  std::vector<std::uint64_t> out_rows_;
+  /// Closure scratch: the visited, frontier and next words, span_ each.
+  std::vector<std::uint64_t> bfs_;
   ProcSet cached_keep_;            // Line-25 keep-set for the snapshot
   bool cached_sc_ = false;         // Line-28 verdict for the snapshot
   bool cached_sc_valid_ = false;   // Line 28 evaluated lazily
   std::int64_t reach_cache_hits_ = 0;
-
-  /// Optional run-wide structure interning (DESIGN.md §10): when set,
-  /// a structure change resolves through the shared table instead of
-  /// running the private reachability fixpoints.
-  StructureInternTable* intern_ = nullptr;
-  InternedStructure* entry_ = nullptr;
-  std::int64_t intern_resolutions_ = 0;
 };
 
 }  // namespace sskel

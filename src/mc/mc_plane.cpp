@@ -7,6 +7,7 @@
 #include <limits>
 #include <thread>
 
+#include "skeleton/intern.hpp"
 #include "util/rng.hpp"
 #include "util/topology.hpp"
 
@@ -95,11 +96,7 @@ void McTilePlane::stream_begin(const KSetRunConfig& config, std::size_t window,
   SSKEL_REQUIRE(!streaming_);
   SSKEL_REQUIRE(window > 0);
 
-  // The persistent domain is the service's point: tile shards carry
-  // interned analytics from batch to batch, so a converged scenario's
-  // second batch re-analyzes (almost) nothing.
   stream_config_ = config;
-  if (stream_config_.intern == nullptr) stream_config_.intern = &intern_;
 
   results_.assign(window, ScenarioTrial{});
   done_.assign(window, 0);
@@ -165,12 +162,10 @@ void McTilePlane::stream_end() {
 
 void McTilePlane::export_service_fields(McSummary& summary) const {
   summary.scenario = scenario_->name();
-  summary.intern = stream_config_.intern != nullptr
-                       ? stream_config_.intern->merged_stats()
-                       : intern_.merged_stats();
-  summary.intern_shards = static_cast<std::int64_t>(
-      stream_config_.intern != nullptr ? stream_config_.intern->shard_count()
-                                       : intern_.shard_count());
+  const InternDomain* domain = stream_config_.intern;
+  summary.intern = domain != nullptr ? domain->merged_stats() : InternStats{};
+  summary.intern_shards =
+      domain != nullptr ? static_cast<std::int64_t>(domain->shard_count()) : 0;
   summary.peak_proc_set_bytes = ProcSet::peak_bytes();
   summary.live_proc_set_bytes = ProcSet::live_bytes();
   summary.arena_proc_set_bytes = ProcSet::arena_bytes();

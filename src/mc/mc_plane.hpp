@@ -9,11 +9,13 @@
 //   * trials flow through the TilePlane's credit-gated submit/result
 //     FragRings as TileWork{trial, seed} and come back RingMux-merged,
 //     exactly like the multiplexed net runs;
-//   * each tile owns persistent worker state — its InternDomain shard
-//     (tile threads live across batches, so InternDomain::local() is
-//     stable per tile), its ProcSet word arena, and a reusable
-//     engine/scenario scratch (ScenarioFactory::make_scratch) — so a
-//     trial resets hot structures instead of reconstructing them;
+//   * each tile owns persistent worker state — its ProcSet word arena
+//     and a reusable engine/scenario scratch
+//     (ScenarioFactory::make_scratch) — so a trial resets hot
+//     structures instead of reconstructing them. The plane lends its
+//     trials no intern domain: a caller's KSetRunConfig::intern passes
+//     through unchanged (tile threads live across batches, so its
+//     InternDomain::local() shard is stable per tile);
 //   * tiles are placed physical-core-first from the probed host
 //     topology when pinning is enabled (util/topology.hpp), and the
 //     effective placement + failed pin count surface in McSummary.
@@ -35,7 +37,6 @@
 #include "mc/montecarlo.hpp"
 #include "mc/scenario.hpp"
 #include "net/tile.hpp"
-#include "skeleton/intern.hpp"
 
 namespace sskel {
 
@@ -76,11 +77,10 @@ struct McPlaneOptions {
 };
 
 /// A persistent Monte-Carlo scheduling service: construct once per
-/// scenario, call run() per batch. Tiles, their intern shards, and
-/// their engine scratch survive between batches — the second batch of
-/// a converged scenario runs almost entirely on interned analytics
-/// and reset (not reconstructed) engines. Dispatcher methods (run and
-/// the counters) belong to one thread at a time.
+/// scenario, call run() per batch. Tiles and their engine scratch
+/// survive between batches, so a trial resets engines instead of
+/// reconstructing them. Dispatcher methods (run and the counters)
+/// belong to one thread at a time.
 class McTilePlane {
  public:
   explicit McTilePlane(const ScenarioFactory& scenario,
@@ -94,10 +94,8 @@ class McTilePlane {
   /// aggregates fold in trial order, and `per_trial` fires on the
   /// calling thread right after each trial folds. Trial fields are
   /// bit-identical to a serial fold of the same (scenario, seed,
-  /// trials, config). When config.intern is null the service's own
-  /// persistent domain is used (intern stats in the summary are then
-  /// cumulative across this plane's batches — service-level counters,
-  /// like the stall counters below).
+  /// trials, config). The summary's intern stats are config.intern's
+  /// (cumulative over that domain's life), or zero without one.
   [[nodiscard]] McSummary run(std::uint64_t master_seed, int trials,
                               const KSetRunConfig& config,
                               const TrialCallback& per_trial = {});
@@ -123,9 +121,8 @@ class McTilePlane {
 
   /// Opens a stream of sequentially indexed trials starting at
   /// `first_index`, with at most `window` trials in flight. Binds the
-  /// run config for every trial of the stream (a null config.intern is
-  /// replaced by the service's persistent domain). No stream or batch
-  /// may already be active.
+  /// run config for every trial of the stream. No stream or batch may
+  /// already be active.
   void stream_begin(const KSetRunConfig& config, std::size_t window,
                     std::uint64_t first_index = 0);
 
@@ -156,10 +153,10 @@ class McTilePlane {
     return static_cast<std::int64_t>(next_offer_ - next_collect_);
   }
 
-  /// Writes the service-level fields (intern stats, ProcSet memory
-  /// marks, tile provenance) into `summary` — the fields run()
-  /// sets after folding, exported so streaming callers can finish a
-  /// summary the same way.
+  /// Writes the service-level fields (the bound config's intern stats,
+  /// zero without a domain; ProcSet memory marks; tile provenance)
+  /// into `summary` — the fields run() sets after folding, exported so
+  /// streaming callers can finish a summary the same way.
   void export_service_fields(McSummary& summary) const;
 
   [[nodiscard]] unsigned tiles() const { return plane_.tiles(); }
@@ -194,9 +191,6 @@ class McTilePlane {
   /// McPlaneOptions::ring_depth; with the tile count it sizes run()'s
   /// stream window.
   std::size_t ring_depth_;
-  /// Persistent cross-batch intern domain; tile threads are stable so
-  /// each tile keeps one shard for the service's lifetime.
-  InternDomain intern_;
   /// Per-tile engine/scenario scratch (index = tile).
   std::vector<std::unique_ptr<ScenarioFactory::Scratch>> scratch_;
   /// Circular in-flight result window: trial i lands in slot

@@ -58,17 +58,17 @@ struct McSummary {
   /// because the SSKC checkpoint layout and E11's records carry it.
   std::int64_t credit_stalls = 0;
 
-  /// Structure-interning counters, merged over the per-tile shards
-  /// (DESIGN.md §10). McTilePlane interns by default — it supplies its
-  /// persistent InternDomain when the run config does not — so
-  /// cross-trial structure sharing shows up here.
+  /// Structure-interning counters of the run config's InternDomain,
+  /// merged over its per-tile shards (DESIGN.md §10); zero when the
+  /// config supplies no domain, as McTilePlane lends none of its own.
   InternStats intern;
   std::int64_t intern_shards = 0;
 
   /// ProcSet heap accounting over the whole batch: the live-bytes
   /// high-water mark reached while the trials ran (peak reset at batch
-  /// start) and the bytes still live when they finished (structures
-  /// retained by the intern domain and any caller-held state). The
+  /// start) and the bytes still live when they finished (the reports
+  /// of the plane's result window, tile scratch, a caller's intern
+  /// domain and any other caller-held state). The
   /// n = 65,536 scale runs are sized by these. Both are summed from
   /// per-thread counter blocks (util/metrics.hpp): the live total is
   /// exact once the tiles are idle, as they are when a batch ends; the

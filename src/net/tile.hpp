@@ -99,8 +99,8 @@ struct TilePlaneOptions {
 class TilePlane {
  public:
   /// `tile` is the executing tile's index — work functions use it to
-  /// address persistent per-tile state (scratch engines, intern
-  /// shards) without thread-local lookups.
+  /// address persistent per-tile state (scratch engines) without
+  /// thread-local lookups.
   using WorkFn = TileResult (*)(void* ctx, unsigned tile,
                                 const TileWork& work);
 

@@ -169,26 +169,19 @@ StructureInternTable::StructureInternTable(InternTableOptions options)
   SSKEL_REQUIRE(options.bucket_bits >= 0 && options.bucket_bits <= 24);
 }
 
-Fingerprint128 StructureInternTable::fingerprint_of(
-    const RowSource& src) const {
+Fingerprint128 StructureInternTable::fingerprint_of(const Digraph& g) const {
   if (options_.degrade_fingerprint_for_tests) {
     return Fingerprint128{0x5eedULL, 0x5eedULL};
   }
-  FingerprintBuilder b(options_.seed);
-  b.mix_word(static_cast<std::uint64_t>(src.n));
-  b.mix_set(*src.nodes);
-  for (ProcId q = 0; q < src.n; ++q) {
-    b.mix_set(src.row(src.ctx, q));
-  }
-  return b.finish();
+  return fingerprint_structure(g, options_.seed);
 }
 
 bool StructureInternTable::same_structure(const InternedStructure& entry,
-                                          const RowSource& src) {
-  if (entry.n() != src.n) return false;
-  if (!(entry.nodes() == *src.nodes)) return false;
-  for (ProcId q = 0; q < src.n; ++q) {
-    if (!(entry.row(q) == src.row(src.ctx, q))) return false;
+                                          const Digraph& g) {
+  if (entry.n() != g.n()) return false;
+  if (!(entry.nodes() == g.nodes())) return false;
+  for (ProcId q = 0; q < g.n(); ++q) {
+    if (!(entry.row(q) == g.out_neighbors(q))) return false;
   }
   return true;
 }
@@ -208,14 +201,14 @@ void StructureInternTable::maybe_promote(std::size_t idx) {
   ++stats_.promotions;
 }
 
-InternedStructure* StructureInternTable::resolve(const RowSource& src) {
-  const Fingerprint128 fp = fingerprint_of(src);
+InternedStructure* StructureInternTable::intern(const Digraph& g) {
+  const Fingerprint128 fp = fingerprint_of(g);
   const std::size_t bucket = static_cast<std::size_t>(fp.lo) & bucket_mask_;
   for (int i = buckets_[bucket]; i >= 0;
        i = next_[static_cast<std::size_t>(i)]) {
     InternedStructure& entry = *entries_[static_cast<std::size_t>(i)];
     if (entry.fingerprint() == fp) {
-      if (same_structure(entry, src)) {
+      if (same_structure(entry, g)) {
         ++stats_.hits;
         maybe_promote(static_cast<std::size_t>(i));
         return &entry;
@@ -235,18 +228,18 @@ InternedStructure* StructureInternTable::resolve(const RowSource& src) {
   bool adopted = false;
   if (tier_ != nullptr) {
     if (const auto snapshot = tier_->lookup(fp);
-        snapshot != nullptr && same_structure(*snapshot, src)) {
+        snapshot != nullptr && same_structure(*snapshot, g)) {
       fresh = std::make_unique<InternedStructure>(*snapshot);
       adopted = true;
     }
   }
   if (fresh == nullptr) {
     std::vector<ProcSet> rows;
-    rows.reserve(static_cast<std::size_t>(src.n));
-    for (ProcId q = 0; q < src.n; ++q) {
-      rows.push_back(src.row(src.ctx, q));
+    rows.reserve(static_cast<std::size_t>(g.n()));
+    for (ProcId q = 0; q < g.n(); ++q) {
+      rows.push_back(g.out_neighbors(q));
     }
-    fresh = std::make_unique<InternedStructure>(src.n, fp, *src.nodes,
+    fresh = std::make_unique<InternedStructure>(g.n(), fp, g.nodes(),
                                                 std::move(rows));
   }
   entries_.push_back(std::move(fresh));
@@ -257,29 +250,6 @@ InternedStructure* StructureInternTable::resolve(const RowSource& src) {
   ++stats_.misses;
   if (adopted) ++stats_.promotion_hits;
   return entries_.back().get();
-}
-
-InternedStructure* StructureInternTable::intern(const Digraph& g) {
-  const RowSource src{
-      g.n(), &g.nodes(),
-      [](const void* ctx, ProcId q) -> const ProcSet& {
-        return static_cast<const Digraph*>(ctx)->out_neighbors(q);
-      },
-      &g};
-  return resolve(src);
-}
-
-InternedStructure* StructureInternTable::intern(
-    const ProcSet& nodes, const std::vector<ProcSet>& rows) {
-  SSKEL_REQUIRE(rows.size() == static_cast<std::size_t>(nodes.universe()));
-  const RowSource src{
-      nodes.universe(), &nodes,
-      [](const void* ctx, ProcId q) -> const ProcSet& {
-        return (*static_cast<const std::vector<ProcSet>*>(
-            ctx))[static_cast<std::size_t>(q)];
-      },
-      &rows};
-  return resolve(src);
 }
 
 InternStats StructureInternTable::stats() const {

@@ -1,15 +1,14 @@
-// Run-wide structure interning: hash-consed skeleton approximations
-// with shared analytics.
+// Run-wide structure interning: hash-consed skeletons with shared
+// analytics.
 //
-// After r_ST (and typically long before, under benign adversaries) all
-// n per-process approximations of the stable skeleton converge to the
-// same structure, yet each process recomputes the same keep-set,
-// strong-connectivity verdict, and root decomposition on its private
-// copy. The intern table maps each *distinct* structure — node set
-// plus out-edge rows, labels ignored — to one canonical
-// InternedStructure that owns the expensive analytics, so a round
-// where all n processes hold the same skeleton pays for the analytics
-// once instead of n times (DESIGN.md §10).
+// The intern table maps each *distinct* structure — node set plus
+// out-edge rows — to one canonical InternedStructure that owns the
+// expensive analytics (Tarjan decomposition, root components), so
+// consumers that meet the same skeleton again pay for them once
+// (DESIGN.md §10). Interning is opt-in: SkeletonTracker and
+// LemmaMonitor use a table when KSetRunConfig::intern supplies a
+// domain. Algorithm 1's processes never intern — they answer Lines
+// 25 and 28 from their own rows (DESIGN.md §8.1).
 //
 // Lookup is a seeded 128-bit fingerprint (graph/fingerprint.hpp) into
 // a fixed bucket array, with every fingerprint hit confirmed by a full
@@ -219,13 +218,6 @@ class StructureInternTable {
   /// computation).
   InternedStructure* intern(const Digraph& g);
 
-  /// Same, keyed on a structure given as its node set and out-edge
-  /// rows (`rows[q]` = the targets of q's edges) — the form Algorithm
-  /// 1's processes build; a Digraph with the same nodes and edges
-  /// resolves to the same entry.
-  InternedStructure* intern(const ProcSet& nodes,
-                            const std::vector<ProcSet>& rows);
-
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
   /// Lookup counters plus the entry-level analytics counters summed on
@@ -240,19 +232,9 @@ class StructureInternTable {
   void set_global_tier(InternGlobalTier* tier) { tier_ = tier; }
 
  private:
-  /// Type-erased view of a candidate structure (no copy until a miss
-  /// decides to create the entry).
-  struct RowSource {
-    ProcId n;
-    const ProcSet* nodes;
-    const ProcSet& (*row)(const void* ctx, ProcId q);
-    const void* ctx;
-  };
-
-  [[nodiscard]] Fingerprint128 fingerprint_of(const RowSource& src) const;
+  [[nodiscard]] Fingerprint128 fingerprint_of(const Digraph& g) const;
   [[nodiscard]] static bool same_structure(const InternedStructure& entry,
-                                           const RowSource& src);
-  InternedStructure* resolve(const RowSource& src);
+                                           const Digraph& g);
   /// Hit-path hook: offers entry `idx` to the tier once it carries
   /// analytics worth sharing (at most one offer per entry).
   void maybe_promote(std::size_t idx);

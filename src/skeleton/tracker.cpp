@@ -38,8 +38,10 @@ void SkeletonTracker::reset() {
   version_ = 0;
   intern_ = nullptr;
   entry_ = nullptr;
-  // Interned runs never seed the private maintainer; replacing it is
-  // the rare fallback-path case, not the per-trial cost.
+  // Only interned runs leave the private maintainer unseeded; every
+  // other run seeds it at its first analytics query (a Monte-Carlo
+  // trial's report asks for the root components), so this replacement
+  // is a per-trial cost on the plane.
   if (inc_scc_.seeded()) inc_scc_ = IncrementalScc();
   pending_.clear();
   roots_.clear();
