@@ -449,6 +449,49 @@ void BM_PsrcsBruteforce(benchmark::State& state) {
 }
 BENCHMARK(BM_PsrcsBruteforce)->Args({16, 3})->Args({20, 4})->Args({24, 3});
 
+/// Per-layer: adversary graph_into for perfbench's `consensus`
+/// adversary (random Psrcs, k = roots = max core = 4, noise 0.25): the
+/// stable skeleton copied into a reused graph plus the noise kernel
+/// (adversary/noise.hpp). Every round after round 1 carries noise.
+void BM_GraphIntoRandomPsrcs(benchmark::State& state) {
+  const ProcId n = static_cast<ProcId>(state.range(0));
+  RandomPsrcsParams params;
+  params.n = n;
+  params.k = 4;
+  params.root_components = 4;
+  params.max_core_size = 4;
+  params.noise_probability = 0.25;
+  RandomPsrcsSource source(101, params);
+  Digraph g(n);
+  Round i = 0;
+  for (auto _ : state) {
+    source.graph_into(2 + i++ % 64, g);
+    benchmark::DoNotOptimize(g);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GraphIntoRandomPsrcs)->Arg(64)->Arg(512);
+
+/// Per-layer: graph_into for perfbench's `fleet` adversary, a
+/// partition of n = 4 into m = 2 blocks (the record's "k") with cross
+/// noise 0.3 until round 3; the loop alternates the two noisy rounds.
+void BM_GraphIntoPartition(benchmark::State& state) {
+  const ProcId n = static_cast<ProcId>(state.range(0));
+  PartitionParams params;
+  params.blocks = even_blocks(n, static_cast<int>(state.range(1)));
+  params.cross_noise_probability = 0.3;
+  params.stabilization_round = 3;
+  PartitionSource source(101, std::move(params));
+  Digraph g(n);
+  Round i = 0;
+  for (auto _ : state) {
+    source.graph_into(1 + i++ % 2, g);
+    benchmark::DoNotOptimize(g);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GraphIntoPartition)->Args({4, 2});
+
 /// End-to-end: one full round of Algorithm 1 for n processes on a
 /// stable hub topology (send + deliver + transition for all n).
 void BM_AlgorithmOneRound(benchmark::State& state) {

@@ -1,5 +1,6 @@
 #include "adversary/partition.hpp"
 
+#include "adversary/noise.hpp"
 #include "util/assert.hpp"
 
 namespace sskel {
@@ -44,12 +45,8 @@ void PartitionSource::graph_into(Round r, Digraph& out) {
     return;
   }
   Rng rng(mix_seed(seed_, static_cast<std::uint64_t>(r)));
-  for (ProcId q = 0; q < n_; ++q) {
-    for (ProcId p = 0; p < n_; ++p) {
-      if (out.has_edge(q, p)) continue;
-      if (rng.next_bool(params_.cross_noise_probability)) out.add_edge(q, p);
-    }
-  }
+  add_bernoulli_noise(out, params_.cross_noise_probability, rng,
+                      noise_rows_);
 }
 
 std::vector<ProcSet> even_blocks(ProcId n, int m) {

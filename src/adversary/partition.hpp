@@ -58,6 +58,7 @@ class PartitionSource final : public GraphSource {
   PartitionParams params_;
   ProcId n_;
   Digraph stable_;
+  std::vector<std::uint64_t> noise_rows_;  // add_bernoulli_noise scratch
 };
 
 /// Splits n processes into m nearly equal contiguous blocks.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "adversary/noise.hpp"
 #include "util/assert.hpp"
 
 namespace sskel {
@@ -99,13 +100,9 @@ void RandomPsrcsSource::graph_into(Round r, Digraph& out) {
     return;
   }
   Rng rng(mix_seed(seed_ ^ 0x5eed5eedULL, static_cast<std::uint64_t>(r)));
-  const ProcId n = params_.n;
-  for (ProcId q = 0; q < n; ++q) {
-    for (ProcId p = 0; p < n; ++p) {
-      if (q == p || out.has_edge(q, p)) continue;
-      if (rng.next_bool(params_.noise_probability)) out.add_edge(q, p);
-    }
-  }
+  // The stable edges include every self-loop, so the noise candidates
+  // are exactly the ordered pairs q != p outside the stable skeleton.
+  add_bernoulli_noise(out, params_.noise_probability, rng, noise_rows_);
 }
 
 std::unique_ptr<RandomPsrcsSource> make_random_psrcs_source(

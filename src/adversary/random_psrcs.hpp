@@ -62,7 +62,8 @@ class RandomPsrcsSource final : public GraphSource {
   [[nodiscard]] ProcId n() const override { return params_.n; }
   [[nodiscard]] Digraph graph(Round r) override;
   /// Allocation-free round generation: copies the stable skeleton into
-  /// `out` (reusing its storage) and sprinkles noise edges in place.
+  /// `out` (reusing its storage) and lands the noise edges in place
+  /// (adversary/noise.hpp).
   void graph_into(Round r, Digraph& out) override;
 
   /// The stable skeleton this source converges to (self-loops
@@ -84,6 +85,7 @@ class RandomPsrcsSource final : public GraphSource {
   Digraph stable_;
   ProcSet hubs_;
   std::vector<ProcSet> cores_;
+  std::vector<std::uint64_t> noise_rows_;  // add_bernoulli_noise scratch
 };
 
 /// Convenience factory.

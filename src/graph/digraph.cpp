@@ -1,5 +1,7 @@
 #include "graph/digraph.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "util/metrics.hpp"
@@ -64,7 +66,7 @@ void Digraph::remove_node(ProcId p) {
 }
 
 void Digraph::reset() {
-  nodes_ = ProcSet::full(n_);
+  nodes_.fill();
   for (ProcSet& row : out_) row.clear();
   for (ProcSet& row : in_) row.clear();
 }
@@ -91,18 +93,56 @@ void transpose64(std::uint64_t a[64]) {
     }
   }
 }
+
+/// ORs the n packed rows (span words each, bit c of row i's word w =
+/// column w * 64 + c) into `direct` and their transpose into `mirror`,
+/// one 64 x 64 block at a time. A block holding few bits is scattered
+/// bit by bit instead: the full transpose costs as much as scattering
+/// ~128 of them, whatever the block holds.
+void or_rows(std::size_t n, std::size_t span, const std::uint64_t* rows,
+             std::vector<ProcSet>& direct, std::vector<ProcSet>& mirror) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t w = 0; w < span; ++w) {
+      direct[i].or_word_at(w, rows[i * span + w]);
+    }
+  }
+  std::uint64_t block[64];
+  for (std::size_t bi = 0; bi < span; ++bi) {
+    const std::size_t height = std::min<std::size_t>(64, n - bi * 64);
+    for (std::size_t bw = 0; bw < span; ++bw) {
+      const std::size_t width = std::min<std::size_t>(64, n - bw * 64);
+      int bits = 0;
+      for (std::size_t i = 0; i < height; ++i) {
+        block[i] = rows[(bi * 64 + i) * span + bw];
+        bits += std::popcount(block[i]);
+      }
+      if (bits == 0) continue;
+      if (bits > 128) {
+        std::fill(block + height, block + 64, 0);
+        transpose64(block);  // block[c] is now column bw * 64 + c
+      } else {
+        std::uint64_t cols[64] = {};
+        for (std::size_t i = 0; i < height; ++i) {
+          for (std::uint64_t b = block[i]; b != 0; b &= b - 1) {
+            cols[std::countr_zero(b)] |= std::uint64_t{1} << i;
+          }
+        }
+        std::copy(cols, cols + width, block);
+      }
+      for (std::size_t c = 0; c < width; ++c) {
+        mirror[bw * 64 + c].or_word_at(bi, block[c]);
+      }
+    }
+  }
+}
 }  // namespace
 
-void Digraph::or_in_rows64(const std::uint64_t* rows) {
-  SSKEL_REQUIRE(n_ >= 1 && n_ <= 64);
-  const auto n = static_cast<std::size_t>(n_);
-  std::uint64_t cols[64];
-  for (std::size_t p = 0; p < 64; ++p) cols[p] = p < n ? rows[p] : 0;
-  transpose64(cols);  // cols[q] is now the out-row of q
-  for (std::size_t p = 0; p < n; ++p) {
-    in_[p].or_word_at(0, rows[p]);
-    out_[p].or_word_at(0, cols[p]);
-  }
+void Digraph::or_in_rows(const std::uint64_t* rows) {
+  or_rows(static_cast<std::size_t>(n_), nodes_.word_span(), rows, in_, out_);
+}
+
+void Digraph::or_out_rows(const std::uint64_t* rows) {
+  or_rows(static_cast<std::size_t>(n_), nodes_.word_span(), rows, out_, in_);
 }
 
 void Digraph::remove_edge(ProcId q, ProcId p) {

@@ -109,15 +109,20 @@ class Digraph {
     for (ProcId q : senders) out_[static_cast<std::size_t>(q)].insert(p);
   }
 
-  /// Bulk edge load for universes of at most 64 processes: ORs in the
-  /// edge set given as packed in-rows (`rows[p]` bit q set means edge
-  /// q -> p). Out-rows are materialized with one in-register 64x64 bit
-  /// transpose instead of per-edge scatters, so a round driver can
-  /// stage a whole derived graph in flat words and land it in O(n)
-  /// word stores. Nodes are not modified: callers must ensure every
-  /// edge endpoint is already present (the drivers' graphs keep all n
-  /// nodes present).
-  void or_in_rows64(const std::uint64_t* rows);
+  /// Bulk edge load: ORs in the edge set given as packed in-rows. Row
+  /// p is the nodes().word_span() words at rows + p * span, and bit q
+  /// of it means edge q -> p. Out-rows are materialized one 64 x 64
+  /// block at a time by an in-register bit transpose (a scatter when
+  /// the block holds few edges) instead of per-edge inserts, so a
+  /// round driver can stage a whole derived graph in flat words and
+  /// land it in O(n²/64) word stores. Nodes are not modified: callers
+  /// must ensure every edge endpoint is already present (the drivers'
+  /// graphs keep all n nodes present).
+  void or_in_rows(const std::uint64_t* rows);
+
+  /// The same bulk load from packed out-rows: bit p of row q means
+  /// edge q -> p.
+  void or_out_rows(const std::uint64_t* rows);
 
   void remove_edge(ProcId q, ProcId p);
 

@@ -1,7 +1,6 @@
 #include "graph/fingerprint.hpp"
 
 #include "graph/digraph.hpp"
-#include "graph/labeled_digraph.hpp"
 
 namespace sskel {
 namespace {
@@ -67,17 +66,6 @@ Fingerprint128 fingerprint_structure(const Digraph& g, std::uint64_t seed) {
   b.mix_set(g.nodes());
   for (ProcId q = 0; q < g.n(); ++q) {
     b.mix_set(g.out_neighbors(q));
-  }
-  return b.finish();
-}
-
-Fingerprint128 fingerprint_structure(const LabeledDigraph& g,
-                                     std::uint64_t seed) {
-  FingerprintBuilder b(seed);
-  b.mix_word(static_cast<std::uint64_t>(g.n()));
-  b.mix_set(g.nodes());
-  for (ProcId q = 0; q < g.n(); ++q) {
-    b.mix_set(g.out_edges(q));
   }
   return b.finish();
 }

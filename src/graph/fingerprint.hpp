@@ -19,7 +19,6 @@
 namespace sskel {
 
 class Digraph;
-class LabeledDigraph;
 
 /// A 128-bit structure fingerprint as two independent 64-bit lanes.
 struct Fingerprint128 {
@@ -59,12 +58,6 @@ class FingerprintBuilder {
 /// Fingerprint of a Digraph's structure: n, the node set, then every
 /// out-row in ascending node order.
 [[nodiscard]] Fingerprint128 fingerprint_structure(const Digraph& g,
-                                                   std::uint64_t seed);
-
-/// Fingerprint of a LabeledDigraph's *structure* (labels ignored):
-/// same word stream as the Digraph overload, so a labeled graph and an
-/// unlabeled graph with identical nodes and edges fingerprint equal.
-[[nodiscard]] Fingerprint128 fingerprint_structure(const LabeledDigraph& g,
                                                    std::uint64_t seed);
 
 }  // namespace sskel

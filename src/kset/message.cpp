@@ -22,16 +22,16 @@ constexpr std::size_t word_of(ProcId q) {
 
 PtHistory::PtHistory(ProcId n)
     : n_(n),
-      pt_(ProcSet::full(n)),
+      pt_(n),
       last_(static_cast<std::size_t>(n), kForever),
-      live_(ProcSet::full(n).word_span()),
+      live_(pt_.word_span()),
       left_(n) {
   expired_.reserve(static_cast<std::size_t>(n));
   reset();
 }
 
 void PtHistory::reset() {
-  pt_ = ProcSet::full(n_);
+  pt_.fill();
   std::fill(last_.begin(), last_.end(), kForever);
   expired_.clear();
   for (std::size_t w = 0; w < live_.size(); ++w) live_[w] = pt_.word_at(w);
@@ -55,8 +55,8 @@ void PtHistory::advance(const ProcSet& senders, Round r) {
   }
 }
 
-void PtHistory::alive_after(Round cutoff, const std::uint64_t* mask,
-                            std::uint64_t* out) const {
+void PtHistory::alive_after_shifted(Round cutoff, const std::uint64_t* mask,
+                                    std::uint64_t* out) const {
   std::copy(live_.begin(), live_.end(), out);
   if (cutoff > cutoff_) {
     for (std::size_t i = window_;

@@ -61,11 +61,26 @@ class PtHistory {
   /// out := { q' in mask : t(q', q) > cutoff } for any cutoff >= 0:
   /// the sources of q's in-edges that survive a purge at `cutoff`.
   /// `mask` and `out` are packed words (ProcSet::word_at layout), one
-  /// per 64 processes.
+  /// per 64 processes. At the owner's own cutoff this is live_ & mask,
+  /// inline: live_ is exactly { q' : t(q', q) > cutoff_ }, because every
+  /// entry of expired_ below window_ has t <= cutoff_ and is out of it.
   void alive_after(Round cutoff, const std::uint64_t* mask,
-                   std::uint64_t* out) const;
+                   std::uint64_t* out) const {
+    if (cutoff == cutoff_) {
+      for (std::size_t w = 0; w < live_.size(); ++w) {
+        out[w] = live_[w] & mask[w];
+      }
+      return;
+    }
+    alive_after_shifted(cutoff, mask, out);
+  }
 
  private:
+  /// alive_after at a cutoff other than cutoff_: live_ plus or minus
+  /// the entries of expired_ whose t lies between the two cutoffs.
+  void alive_after_shifted(Round cutoff, const std::uint64_t* mask,
+                           std::uint64_t* out) const;
+
   ProcId n_;
   ProcSet pt_;
   std::vector<Round> last_;

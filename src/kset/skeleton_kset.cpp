@@ -23,6 +23,7 @@ SkeletonKSetProcess::SkeletonKSetProcess(ProcId n, ProcId id, Value proposal,
       bfs_(3 * span_),
       cached_keep_(n) {
   state_.lambda.assign(static_cast<std::size_t>(n), 0);
+  state_.nodes = ProcSet(n);
   state_.history.assign(static_cast<std::size_t>(n), nullptr);
   reset(proposal);
 }
@@ -34,7 +35,8 @@ void SkeletonKSetProcess::reset(Value proposal) {
   state_.decide = false;
   state_.x = proposal;         // Line 2: x_p initially v_p
   std::fill(state_.lambda.begin(), state_.lambda.end(), 0);
-  state_.nodes = ProcSet::singleton(n(), id());  // Line 3: <{p}, {}>
+  state_.nodes.clear();  // Line 3: <{p}, {}>
+  state_.nodes.insert(id());
   std::fill(state_.history.begin(), state_.history.end(), nullptr);
   state_.history[static_cast<std::size_t>(id())] = &history_;
   decision_round_ = 0;
@@ -215,10 +217,14 @@ void SkeletonKSetProcess::transition(Round r,
     prune_to_reaching_owner();
     cached_sc_valid_ = false;
   }
-  // N_p := the keep-set; λ_p forgets the pruned candidates.
-  for (ProcId q : candidates_) {
-    if (!cached_keep_.contains(q)) {
-      state_.lambda[static_cast<std::size_t>(q)] = 0;
+  // N_p := the keep-set; λ_p forgets the pruned candidates, a word
+  // of candidates outside the keep-set at a time.
+  for (std::size_t w = 0; w < span_; ++w) {
+    std::uint64_t pruned = candidate_words_[w] & ~cached_keep_.word_at(w);
+    for (; pruned != 0; pruned &= pruned - 1) {
+      const std::size_t q =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(pruned));
+      state_.lambda[q] = 0;
     }
   }
   state_.nodes = cached_keep_;

@@ -109,7 +109,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       SSKEL_REQUIRE(processes_[i] != nullptr);
       SSKEL_REQUIRE(processes_[i]->id() == static_cast<ProcId>(i));
     }
-    use_rows64_ = n <= 64;
+    span_ = ProcSet(static_cast<ProcId>(n)).word_span();
 
     // Close calendar: rounds close in one fixed per-round order — by
     // deadline, i.e. by skew, FIFO (= bootstrap = id) on ties — so the
@@ -427,8 +427,9 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   struct PendingRound {
     Round round = 0;
     Digraph graph;
-    /// n <= 64 only: staged in-rows (bit q of word p = edge q -> p),
-    /// landed into `graph` in one transpose when the round completes.
+    /// Staged in-rows, span_ words per process (bit q of row p = edge
+    /// q -> p), landed into `graph` in one bulk load when the round
+    /// completes.
     std::vector<std::uint64_t> in_words;
     ProcId rows = 0;
     std::int64_t bytes = 0;
@@ -448,7 +449,7 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       pending_pool_.pop_back();
     } else {
       rec.graph = Digraph(n());
-      if (use_rows64_) rec.in_words.assign(static_cast<std::size_t>(n()), 0);
+      rec.in_words.assign(static_cast<std::size_t>(n()) * span_, 0);
     }
     rec.round = r;
     pending_rounds_.push_back(std::move(rec));
@@ -472,16 +473,15 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   /// D.
   void derived_row(ProcId p, Round r, const ProcSet& senders) {
     PendingRound& rec = pending_for(r);
-    if (use_rows64_) {
-      // Stage the row as one packed word; the whole round's edge set
-      // lands below via a single 64x64 transpose instead of n
-      // scattered out-row inserts per close.
-      rec.in_words[static_cast<std::size_t>(p)] = senders.word_at(0);
-    } else {
-      rec.graph.add_in_edges(p, senders);
-    }
+    // Stage the row as packed words (the staged rows are all zero
+    // until written); the whole round's edge set lands below in one
+    // bulk load instead of n scattered out-row inserts per close.
+    std::uint64_t* row =
+        rec.in_words.data() + static_cast<std::size_t>(p) * span_;
+    senders.for_each_word(
+        [row](std::uint32_t w, std::uint64_t bits) { row[w] = bits; });
     if (++rec.rows == n()) {
-      if (use_rows64_) rec.graph.or_in_rows64(rec.in_words.data());
+      rec.graph.or_in_rows(rec.in_words.data());
       RoundStats stats;
       stats.round = r;
       stats.messages_delivered = rec.graph.edge_count();
@@ -548,9 +548,8 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   /// Retired round records (graph reset, rows re-zeroed), ready for
   /// the next round.
   std::vector<PendingRound> pending_pool_;
-  /// n <= 64: derived rows staged as packed words, landed per round
-  /// with one transpose (Digraph::or_in_rows64).
-  bool use_rows64_ = false;
+  /// Words per staged derived row (Digraph::or_in_rows).
+  std::size_t span_ = 0;
   Digraph last_graph_;
   Round derived_rounds_ = 0;
   std::int64_t late_ = 0;

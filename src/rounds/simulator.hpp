@@ -87,7 +87,7 @@ class Simulator final : public RoundEngine<Msg> {
     const Round r = ++round_;
     source_->graph_into(r, graph_);
     SSKEL_REQUIRE(graph_.n() == n());
-    SSKEL_REQUIRE(graph_.nodes() == ProcSet::full(n()));
+    SSKEL_REQUIRE(graph_.node_count() == n());
     graph_.add_self_loops();
 
     // Phase 1: all sends, from beginning-of-round state. send_into

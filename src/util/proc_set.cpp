@@ -201,7 +201,7 @@ ProcSet::ProcSet(ProcSet&& other) noexcept
   other.footprint_ = 0;
 }
 
-ProcSet& ProcSet::operator=(const ProcSet& other) {
+ProcSet& ProcSet::copy_assign_slow(const ProcSet& other) {
   if (this == &other) return *this;
   n_ = other.n_;
   sparse_ = other.sparse_;
@@ -304,6 +304,22 @@ void ProcSet::clear() {
   }
   std::fill(words_.begin(), words_.end(), 0);
   std::fill(summary_.begin(), summary_.end(), 0);
+}
+
+void ProcSet::fill() {
+  if (sparse_) {
+    sidx_.clear();
+    sval_.clear();
+    densify();
+  }
+  std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
+  trim();
+  if (tiered()) {
+    rebuild_summary();
+  } else {
+    summary_.clear();
+  }
+  account();
 }
 
 int ProcSet::count() const {

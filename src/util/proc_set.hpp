@@ -120,7 +120,19 @@ class ProcSet {
 
   ProcSet(const ProcSet& other);
   ProcSet(ProcSet&& other) noexcept;
-  ProcSet& operator=(const ProcSet& other);
+  /// Copy-assignment. Two small-universe dense sets of equal word
+  /// span copy their words inline, keeping this set's storage: every
+  /// round copies whole graphs of them (a source's stable skeleton
+  /// into the round graph, Algorithm 1's node sets into its outbox).
+  ProcSet& operator=(const ProcSet& other) {
+    if (!sparse_ && !other.sparse_ && summary_.empty() &&
+        other.summary_.empty() && words_.size() == other.words_.size()) {
+      n_ = other.n_;
+      std::copy(other.words_.begin(), other.words_.end(), words_.begin());
+      return *this;
+    }
+    return copy_assign_slow(other);
+  }
   ProcSet& operator=(ProcSet&& other) noexcept;
   ~ProcSet();
 
@@ -169,6 +181,12 @@ class ProcSet {
   /// small and policy-pinned dense sets zero in place, keeping their
   /// storage for reuse.
   void clear();
+
+  /// Makes this the full set {0, .., n-1} in place: the same set and
+  /// representation as `*this = full(universe())`, without building a
+  /// temporary. Dense sets keep their storage, so small universes
+  /// never allocate.
+  void fill();
 
   /// Number of members.
   [[nodiscard]] int count() const;
@@ -398,6 +416,7 @@ class ProcSet {
   void insert_sparse(ProcId p);
   void erase_sparse(ProcId p);
   ProcSet& or_assign_slow(const ProcSet& other);
+  ProcSet& copy_assign_slow(const ProcSet& other);
   [[nodiscard]] ProcId first_slow() const;
   [[nodiscard]] ProcId next_after_slow(ProcId q) const;
 

@@ -190,32 +190,42 @@ TEST(DigraphTest, OrInRows64MatchesPerEdgeInsertion) {
   // The transpose-based bulk landing must agree with add_edge in BOTH
   // directions (in_ and out_ rows) on random asymmetric matrices.
   // Symmetric graphs cannot catch an orientation bug: a transposed
-  // edge set looks identical there.
+  // edge set looks identical there. Sparse rows (density 1/128) take
+  // the per-block scatter, dense ones the 64 x 64 transpose, and
+  // n > 64 spans several blocks.
   Rng rng(0x64646464);
-  for (const ProcId n : {1, 3, 31, 64}) {
-    std::vector<std::uint64_t> rows(static_cast<std::size_t>(n), 0);
-    const std::uint64_t row_mask =
-        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-    Digraph expected(n);
-    for (ProcId p = 0; p < n; ++p) {
-      std::uint64_t bits = rng.next_u64() & row_mask;
-      rows[static_cast<std::size_t>(p)] = bits;
-      while (bits != 0) {
-        const auto q = static_cast<ProcId>(std::countr_zero(bits));
-        bits &= bits - 1;
-        expected.add_edge(q, p);  // bit q of rows[p] = edge q -> p
-      }
-    }
-    Digraph actual(n);
-    actual.or_in_rows64(rows.data());
-    EXPECT_EQ(actual.edge_count(), expected.edge_count()) << "n=" << n;
-    for (ProcId q = 0; q < n; ++q) {
+  for (const ProcId n : {1, 3, 31, 64, 65, 130}) {
+    for (const bool sparse : {false, true}) {
+      const std::size_t span = (static_cast<std::size_t>(n) + 63) / 64;
+      std::vector<std::uint64_t> rows(static_cast<std::size_t>(n) * span);
+      Digraph expected(n);
       for (ProcId p = 0; p < n; ++p) {
-        EXPECT_EQ(actual.has_edge(q, p), expected.has_edge(q, p))
-            << "n=" << n << " edge " << q << "->" << p;
+        for (std::size_t w = 0; w < span; ++w) {
+          const ProcId base = static_cast<ProcId>(64 * w);
+          const ProcId width = std::min<ProcId>(64, n - base);
+          std::uint64_t bits = width == 64
+                                   ? rng.next_u64()
+                                   : rng.next_u64() &
+                                         ((std::uint64_t{1} << width) - 1);
+          for (int i = 0; sparse && i < 6; ++i) bits &= rng.next_u64();
+          rows[static_cast<std::size_t>(p) * span + w] = bits;
+          for (; bits != 0; bits &= bits - 1) {
+            // bit q of row p = edge q -> p
+            expected.add_edge(base + std::countr_zero(bits), p);
+          }
+        }
       }
-      EXPECT_EQ(actual.in_neighbors(q), expected.in_neighbors(q));
-      EXPECT_EQ(actual.out_neighbors(q), expected.out_neighbors(q));
+      Digraph actual(n);
+      actual.or_in_rows(rows.data());
+      EXPECT_EQ(actual.edge_count(), expected.edge_count()) << "n=" << n;
+      for (ProcId q = 0; q < n; ++q) {
+        for (ProcId p = 0; p < n; ++p) {
+          EXPECT_EQ(actual.has_edge(q, p), expected.has_edge(q, p))
+              << "n=" << n << " edge " << q << "->" << p;
+        }
+        EXPECT_EQ(actual.in_neighbors(q), expected.in_neighbors(q));
+        EXPECT_EQ(actual.out_neighbors(q), expected.out_neighbors(q));
+      }
     }
   }
 }
@@ -227,7 +237,7 @@ TEST(DigraphTest, OrInRows64SkewRow) {
   Digraph g(5);
   std::vector<std::uint64_t> rows(5, 0);
   rows[2] = 0b11011;  // everyone but q=2 reaches p=2
-  g.or_in_rows64(rows.data());
+  g.or_in_rows(rows.data());
   EXPECT_EQ(g.edge_count(), 4);
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_TRUE(g.has_edge(4, 2));
@@ -241,10 +251,10 @@ TEST(DigraphTest, OrInRows64AccumulatesLikeOr) {
   Digraph g(3);
   std::vector<std::uint64_t> rows(3, 0);
   rows[0] = 0b001;  // 0 -> 0
-  g.or_in_rows64(rows.data());
+  g.or_in_rows(rows.data());
   rows[0] = 0b100;  // 2 -> 0
   rows[1] = 0b010;  // 1 -> 1
-  g.or_in_rows64(rows.data());
+  g.or_in_rows(rows.data());
   EXPECT_EQ(g.edge_count(), 3);
   EXPECT_TRUE(g.has_edge(0, 0));
   EXPECT_TRUE(g.has_edge(2, 0));

@@ -1,6 +1,6 @@
 // Tests for the 128-bit structure fingerprint feeding the intern
 // table. The contract is deliberately modest: equal structures hash
-// equal (determinism, label-blindness, seed-sensitivity), and distinct
+// equal (determinism, seed-sensitivity), and distinct
 // structures *almost always* hash different — the table tolerates
 // collisions, so the tests only pin down the properties callers rely
 // on, plus an empirical no-collision sweep over many small graphs.
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "graph/labeled_digraph.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -68,30 +67,6 @@ TEST(FingerprintTest, SeedChangesFingerprint) {
   Rng rng(5);
   const Digraph g = random_graph(12, rng, 25);
   EXPECT_NE(fingerprint_structure(g, 1), fingerprint_structure(g, 2));
-}
-
-TEST(FingerprintTest, LabeledAndUnlabeledSameStructureAgree) {
-  // The intern table keys on structure only: a LabeledDigraph and a
-  // Digraph with the same nodes and edges must fingerprint equal no
-  // matter the labels.
-  LabeledDigraph lg(6, 0);
-  lg.set_edge(0, 1, 3);
-  lg.set_edge(1, 2, 7);
-  lg.set_edge(2, 0, 12);
-  Digraph g(6);
-  for (ProcId p = 0; p < 6; ++p) {
-    if (!lg.has_node(p)) g.remove_node(p);
-  }
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  EXPECT_EQ(fingerprint_structure(lg, 9), fingerprint_structure(g, 9));
-
-  // Relabeling alone must not move the fingerprint.
-  LabeledDigraph relabeled = lg;
-  relabeled.set_edge(0, 1, 40);
-  EXPECT_EQ(fingerprint_structure(lg, 9),
-            fingerprint_structure(relabeled, 9));
 }
 
 TEST(FingerprintTest, WordOrderMatters) {

@@ -186,6 +186,28 @@ TEST(PlaneEquivalenceTest, SkewsSpanningTheRound) {
                        run_on_oracle(links, config));
 }
 
+TEST(PlaneEquivalenceTest, FlakyNetworkPastOneWord) {
+  // n = 70: each derived row spans two words, so the driver stages
+  // and lands the rows across a 64-process block boundary.
+  const ProcId n = 70;
+  NetKSetConfig config;
+  config.run.k = 3;
+  config.run.max_rounds = 30;
+  config.net.round_duration = 1000;
+  config.net.seed = 0x5EED07;
+  for (ProcId p = 0; p < n; ++p) {
+    config.net.skews.push_back((static_cast<SimTime>(p) * 37) % 400);
+  }
+  Digraph stable(n);
+  stable.add_self_loops();
+  for (ProcId p = 0; p < n; ++p) stable.add_edge(p % 3, p);
+  LinkMatrix links = LinkMatrix::all_flaky(n, 0.35);
+  links.upgrade_to_timely(stable, 100, 700);
+  const NetKSetReport driver = run_on_driver(links, config);
+  expect_reports_equal(driver, run_on_oracle(links, config));
+  EXPECT_GT(driver.late_messages, 0);
+}
+
 TEST(PlaneEquivalenceTest, CleanTimelyNetworkWithoutSkews) {
   const ProcId n = 5;
   NetKSetConfig config;

@@ -302,7 +302,7 @@ TEST(ProcSetTierTest, MixedRepresentationOperands) {
 
 TEST(ProcSetTierTest, OrWordAtMatchesPerBitInsertion) {
   // or_word_at is the bulk write the graph layer leans on
-  // (Digraph::or_in_rows64); it must agree with bit-at-a-time insert
+  // (Digraph::or_in_rows); it must agree with bit-at-a-time insert
   // in every representation, including the sparse form and the
   // densify-on-growth transition.
   ScopedTierThreshold threshold(1);
@@ -392,6 +392,34 @@ TEST(ProcSetTierTest, ClearReleasesTieredPayload) {
   // The dead row costs (almost) nothing afterwards: the payload is
   // gone, only the sparse headers remain.
   EXPECT_LT(ProcSet::live_bytes() - before, 128);
+}
+
+TEST(ProcSetTierTest, FillEqualsFullInEveryForm) {
+  // fill() must leave exactly what assigning full() leaves, from an
+  // empty sparse set, a sparse set with members and a dense one, and
+  // keep a small set's storage.
+  ScopedTierThreshold threshold(1);
+  for (const ProcId n : {1, 63, 64, 200, 1024}) {
+    ProcSet sparse_members(n);
+    sparse_members.insert(n / 2);
+    ProcSet dense = ProcSet::full(n);
+    dense.erase(0);
+    for (ProcSet s : {ProcSet(n), sparse_members, dense}) {
+      s.fill();
+      const ProcSet full = ProcSet::full(n);
+      EXPECT_EQ(s, full) << "n=" << n;
+      EXPECT_EQ(s.is_sparse(), full.is_sparse()) << "n=" << n;
+      EXPECT_EQ(s.count(), n) << "n=" << n;
+      EXPECT_EQ(s.next_after(n - 2), n - 1) << "n=" << n;
+    }
+  }
+  ScopedTierThreshold dense_only(1000);
+  ProcSet small(100);
+  small.insert(3);
+  const std::int64_t before = ProcSet::live_bytes();
+  small.fill();
+  EXPECT_EQ(ProcSet::live_bytes(), before);
+  EXPECT_EQ(small, ProcSet::full(100));
 }
 
 TEST(ProcSetTierTest, PeakBytesTracksHighWaterMark) {
