@@ -13,7 +13,7 @@
 //     derived skeleton, <= k values; larger D wastes wall-clock time
 //     per round but changes nothing structurally.
 //
-// E14 (tables 2-3): sustained throughput of the message plane
+// E14 (table 2): sustained throughput of the message plane
 // (DESIGN.md §12). A trivial relay algorithm (min-fold over int64
 // payloads) makes the transition free, so the measurement isolates the
 // delivery hot path:
@@ -26,12 +26,6 @@
 //     the late and lost paths. The bench-regression diff of
 //     process_rounds_per_sec against the committed BENCH_network.json
 //     gates both rows against their baselines.
-//   * multiplexed runs — many independent net-backed runs dispatched
-//     as TileWork over a TilePlane (credit-gated intake/result rings,
-//     tick-paced watermarks). This is the fleet shape: one dispatcher
-//     feeding pinned worker tiles. The bench asserts that the tiles
-//     fold the same relay digest as a sequential pass over the same
-//     seeds.
 //
 // The plane's equivalence to the event-queue specification is pinned
 // by the tests (tests/net/plane_equivalence_test.cpp), not here.
@@ -50,7 +44,6 @@
 #include "adversary/random_psrcs.hpp"
 #include "graph/scc.hpp"
 #include "mc/mc_plane.hpp"
-#include "net/tile.hpp"
 #include "predicates/psrcs.hpp"
 #include "util/bench_json.hpp"
 #include "util/stats.hpp"
@@ -67,8 +60,8 @@ using Clock = std::chrono::steady_clock;
 
 /// The relay algorithm: broadcast a mixed counter, fold the inbox min
 /// into a running digest. Cheap enough that the driver's delivery path
-/// dominates, stateful enough that a misdelivered or double-counted
-/// message changes the digest.
+/// dominates, stateful enough that every message depends on what the
+/// process received before.
 class RelayProcess final : public Algorithm<std::int64_t> {
  public:
   RelayProcess(ProcId n, ProcId id) : Algorithm<std::int64_t>(n, id) {}
@@ -85,7 +78,6 @@ class RelayProcess final : public Algorithm<std::int64_t> {
     digest_ = digest_ * 131 + lowest;
   }
 
-  [[nodiscard]] std::int64_t digest() const { return digest_; }
 
  private:
   std::int64_t digest_ = 0;
@@ -98,12 +90,9 @@ struct ThroughputRun {
   std::int64_t late = 0;
   std::int64_t lost = 0;
   std::int64_t credit_stalls = 0;
-  std::int64_t digest = 0;
 };
 
-/// One sustained run: n relay processes through `rounds` rounds. The
-/// digest folds every process's final state, so two executions of the
-/// same seed disagreeing anywhere disagree here.
+/// One sustained run: n relay processes through `rounds` rounds.
 ThroughputRun run_throughput(const LinkMatrix& links, Round rounds,
                              std::uint64_t seed) {
   const ProcId n = links.n();
@@ -131,30 +120,7 @@ ThroughputRun run_throughput(const LinkMatrix& links, Round rounds,
   run.late = driver.late_messages();
   run.lost = driver.lost_messages();
   run.credit_stalls = driver.credit_stalls();
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& proc = static_cast<const RelayProcess&>(driver.process(p));
-    run.digest = run.digest * 257 + proc.digest();
-  }
   return run;
-}
-
-/// Context for the multiplexed TilePlane runs: every work item is one
-/// full net-backed run, keyed by its seed.
-struct MuxContext {
-  const LinkMatrix* links = nullptr;
-  Round rounds = 0;
-};
-
-TileResult run_one_mux_work(void* ctx, unsigned /*tile*/,
-                            const TileWork& work) {
-  const auto& mux = *static_cast<const MuxContext*>(ctx);
-  const ThroughputRun run =
-      run_throughput(*mux.links, mux.rounds, work.seed);
-  TileResult result;
-  result.id = work.id;
-  result.value = run.digest;
-  result.aux = run.delivered;
-  return result;
 }
 
 }  // namespace
@@ -244,12 +210,12 @@ int main() {
             << " E14: message-plane throughput (ring plane)\n"
             << "========================================================\n\n";
 
-  // The multiplexed configuration: enough processes that per-delivery
+  // The all-timely configuration: enough processes that per-delivery
   // cost dominates per-round cost (n-1 deliveries per close), short
   // real delays so virtually everything is on time.
-  const ProcId mux_n = 24;
-  const Round mux_rounds = smoke ? 300 : 2000;
-  const LinkMatrix mux_links = LinkMatrix::all_timely(mux_n, 50, 400);
+  const ProcId plane_n = 24;
+  const Round plane_rounds = smoke ? 300 : 2000;
+  const LinkMatrix timely_links = LinkMatrix::all_timely(plane_n, 50, 400);
   // perfbench's `network` links: the stable skeleton of one fixed
   // random-psrcs draw (seed "LINK", 3 root components of at most 3
   // hubs, as in perfbench/src/plane_workloads.cpp) upgraded to timely
@@ -258,19 +224,19 @@ int main() {
   // lost paths the all-timely row never takes.
   const LinkMatrix hub_links = [&] {
     RandomPsrcsParams hubs;
-    hubs.n = mux_n;
+    hubs.n = plane_n;
     hubs.k = 3;
     hubs.root_components = 3;
     hubs.max_core_size = 3;
     const RandomPsrcsSource source(0x4c494e4b, hubs);
-    LinkMatrix links = LinkMatrix::all_flaky(mux_n, 0.35);
+    LinkMatrix links = LinkMatrix::all_flaky(plane_n, 0.35);
     links.upgrade_to_timely(source.stable_skeleton(), 100, 700);
     return links;
   }();
 
   {
     Table table("plane throughput (n=24, ring plane, " +
-                    std::to_string(mux_rounds) + " rounds)",
+                    std::to_string(plane_rounds) + " rounds)",
                 {"links", "proc-rounds/s", "delivered", "late", "lost",
                  "credit stalls", "elapsed (ms)"});
     const auto add_row = [&](const std::string& links,
@@ -279,22 +245,22 @@ int main() {
                      cell(run.delivered), cell(run.late), cell(run.lost),
                      cell(run.credit_stalls), cell(run.elapsed_s * 1000.0, 1)});
     };
-    const ThroughputRun ring = run_throughput(mux_links, mux_rounds, 0xE14);
+    const ThroughputRun ring = run_throughput(timely_links, plane_rounds, 0xE14);
     add_row("all-timely", ring);
     json.add("plane_throughput")
         .set("plane", "ring")
-        .set("n", static_cast<std::int64_t>(mux_n))
-        .set("rounds", static_cast<std::int64_t>(mux_rounds))
+        .set("n", static_cast<std::int64_t>(plane_n))
+        .set("rounds", static_cast<std::int64_t>(plane_rounds))
         .set("process_rounds_per_sec", ring.process_rounds_per_sec)
         .set("delivered_messages", ring.delivered)
         .set("credit_stall_total", ring.credit_stalls);
-    const ThroughputRun hub = run_throughput(hub_links, mux_rounds, 0xE14);
+    const ThroughputRun hub = run_throughput(hub_links, plane_rounds, 0xE14);
     add_row("hub cover + flaky 0.35", hub);
     json.add("plane_throughput")
         .set("adversary", "hub_flaky")
         .set("plane", "ring")
-        .set("n", static_cast<std::int64_t>(mux_n))
-        .set("rounds", static_cast<std::int64_t>(mux_rounds))
+        .set("n", static_cast<std::int64_t>(plane_n))
+        .set("rounds", static_cast<std::int64_t>(plane_rounds))
         .set("process_rounds_per_sec", hub.process_rounds_per_sec)
         .set("delivered_messages", hub.delivered)
         .set("late_messages", hub.late)
@@ -311,73 +277,6 @@ int main() {
     json.add("plane_rate_gate")
         .set("ring_process_rounds_per_sec", ring_rate)
         .set("rate_gate_pass", static_cast<std::int64_t>(rate_ok));
-  }
-
-  {
-    const unsigned tiles = 2;
-    const std::size_t runs = smoke ? 4 : 12;
-    const Round per_run_rounds = smoke ? 150 : 500;
-
-    MuxContext ctx;
-    ctx.links = &mux_links;
-    ctx.rounds = per_run_rounds;
-
-    std::vector<TileWork> work;
-    work.reserve(runs);
-    for (std::size_t i = 0; i < runs; ++i) {
-      work.push_back(TileWork{i, 0x5EED0000 + i, 0});
-    }
-
-    // Reference digest: the same seeds run one after another on this
-    // thread.
-    std::int64_t sequential_digest = 0;
-    for (const TileWork& w : work) {
-      const ThroughputRun run =
-          run_throughput(mux_links, per_run_rounds, w.seed);
-      sequential_digest = sequential_digest * 269 + run.digest;
-    }
-
-    TilePlane plane(tiles, &run_one_mux_work, &ctx);
-    std::vector<TileResult> results;
-    const Clock::time_point mux_start = Clock::now();
-    plane.run_all(work, results);
-    const double mux_s = seconds_since(mux_start);
-    SSKEL_ASSERT(results.size() == runs);
-
-    // Completion order varies; the digest fold is keyed by run id.
-    std::vector<std::int64_t> by_id(runs, 0);
-    for (const TileResult& r : results) {
-      by_id[static_cast<std::size_t>(r.id)] = r.value;
-    }
-    std::int64_t mux_digest = 0;
-    for (std::int64_t d : by_id) mux_digest = mux_digest * 269 + d;
-    SSKEL_ASSERT(mux_digest == sequential_digest);
-
-    const double total_proc_rounds = static_cast<double>(runs) *
-                                     static_cast<double>(mux_n) *
-                                     static_cast<double>(per_run_rounds);
-    const double mux_rate = total_proc_rounds / (mux_s > 0.0 ? mux_s : 1e-9);
-
-    Table table("multiplexed runs (" + std::to_string(runs) + " runs x " +
-                    std::to_string(per_run_rounds) + " rounds, " +
-                    std::to_string(tiles) + " tiles)",
-                {"config", "proc-rounds/s", "elapsed (ms)", "submit stalls",
-                 "result stalls", "tile frags"});
-    table.add_row({"ring + tile plane", cell(mux_rate, 0),
-                   cell(mux_s * 1000.0, 1), cell(plane.submit_stalls()),
-                   cell(plane.result_stalls()),
-                   cell(plane.frags_processed())});
-    table.print(std::cout);
-    std::cout << "multiplexed digest matches the sequential pass\n\n";
-
-    json.add("multiplexed")
-        .set("tiles", static_cast<std::int64_t>(tiles))
-        .set("runs", static_cast<std::int64_t>(runs))
-        .set("rounds_per_run", static_cast<std::int64_t>(per_run_rounds))
-        .set("process_rounds_per_sec", mux_rate)
-        .set("credit_stall_submit", plane.submit_stalls())
-        .set("credit_stall_result", plane.result_stalls())
-        .set("tile_frags", plane.frags_processed());
   }
 
   const char* path_env = std::getenv("SSKEL_BENCH_JSON");

@@ -271,9 +271,9 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
         };
 
     // Adaptive burst: submit up to `burst` trials per iteration via
-    // the non-blocking offer; a refusal (window full or no intake
-    // credit) halves the burst, a fully accepted burst doubles it up
-    // to the window. Ring occupancy is the signal — no timers.
+    // the non-blocking offer; a refusal (window full) halves the
+    // burst, a fully accepted burst doubles it up to the window.
+    // Window occupancy is the signal — no timers.
     auto next = static_cast<std::uint64_t>(job_state.trials_folded);
     const auto total = static_cast<std::uint64_t>(job.trials);
     std::int64_t burst =
@@ -300,7 +300,7 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
             burst * 2, static_cast<std::int64_t>(options_.window));
         ++stats.burst_grows;
       }
-      // Nothing collected and nothing submitted (ring full, or every
+      // Nothing collected and nothing submitted (window full, or every
       // trial is already in flight): only in-flight completions can
       // make progress, so don't busy-spin the dispatcher core.
       if (plane.stream_collect(sink) == 0 && submitted == 0) {

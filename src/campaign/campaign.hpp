@@ -3,10 +3,10 @@
 //
 // A *campaign* is a sweep: a list of jobs, each (scenario, master
 // seed, trial count), folded under one run config. Where the batch
-// API (McTilePlane::run) pays its ramp — window allocation, ring
+// API (McTilePlane::run) pays its ramp — window allocation, tile
 // warm-up — once per call, the campaign engine keeps one McTilePlane
 // hot per distinct scenario and streams every job's trials through
-// the plane's submit rings from a persistent cursor, so sustained
+// the plane's window from a persistent cursor, so sustained
 // trials/sec over a long sweep matches
 // back-to-back batches (bench_campaign gates ≥ 0.95x with
 // checkpointing on).

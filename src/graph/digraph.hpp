@@ -85,8 +85,7 @@ class Digraph {
   void remove_node(ProcId p);
 
   /// Adds edge (q -> p): "p hears from q". Both endpoints are added if
-  /// absent. Inline: derived-graph rows insert one edge per delivered
-  /// message, making this the message plane's per-round inner loop.
+  /// absent.
   void add_edge(ProcId q, ProcId p) {
     check_node(q);
     check_node(p);
@@ -94,19 +93,6 @@ class Digraph {
     nodes_.insert(p);
     out_[static_cast<std::size_t>(q)].insert(p);
     in_[static_cast<std::size_t>(p)].insert(q);
-  }
-
-  /// Adds edge (q -> p) for every q in `senders` — the bulk form the
-  /// round drivers use to land a whole derived-graph row. The in-row
-  /// and node updates are word-parallel set unions; only the out-row
-  /// scatter walks the members.
-  void add_in_edges(ProcId p, const ProcSet& senders) {
-    check_node(p);
-    SSKEL_REQUIRE(senders.universe() == n_);
-    nodes_.insert(p);
-    nodes_ |= senders;
-    in_[static_cast<std::size_t>(p)] |= senders;
-    for (ProcId q : senders) out_[static_cast<std::size_t>(q)].insert(p);
   }
 
   /// Bulk edge load: ORs in the edge set given as packed in-rows. Row

@@ -8,8 +8,14 @@
 #include <thread>
 
 #include "skeleton/intern.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/topology.hpp"
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace sskel {
 
@@ -31,13 +37,36 @@ unsigned parse_thread_cap(const char* value) {
       std::numeric_limits<unsigned>::max()));
 }
 
-TilePlaneOptions to_tile_options(const McPlaneOptions& options) {
-  TilePlaneOptions tile_options;
-  tile_options.ring_depth = options.ring_depth;
-  tile_options.lazy = options.lazy;
-  tile_options.pin_threads = options.pin_tiles;
-  tile_options.cpu_placement = options.cpu_placement;
-  return tile_options;
+void pin_current_thread(int cpu, std::atomic<unsigned>& failures) {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(static_cast<unsigned>(cpu), &set);
+  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
+    failures.fetch_add(1, std::memory_order_relaxed);
+  }
+#else
+  (void)cpu;
+  failures.fetch_add(1, std::memory_order_relaxed);
+#endif
+}
+
+std::vector<int> resolve_placement(const McPlaneOptions& options,
+                                   unsigned tiles) {
+  if (!options.pin_tiles) return {};
+  std::vector<int> plan;
+  if (!options.cpu_placement.empty()) {
+    plan.reserve(tiles);
+    for (unsigned i = 0; i < tiles; ++i) {
+      plan.push_back(options.cpu_placement[i % options.cpu_placement.size()]);
+    }
+    return plan;
+  }
+  plan = plan_tile_cpus(probe_cpu_topology(), tiles);
+  if (plan.empty()) {  // degenerate probe: fall back to identity
+    for (unsigned i = 0; i < tiles; ++i) plan.push_back(static_cast<int>(i));
+  }
+  return plan;
 }
 
 }  // namespace
@@ -60,86 +89,98 @@ unsigned resolve_tile_count(unsigned requested) {
 McTilePlane::McTilePlane(const ScenarioFactory& scenario,
                          McPlaneOptions options)
     : scenario_(&scenario),
-      ring_depth_(std::max<std::size_t>(options.ring_depth, 1)),
       scratch_(resolve_tile_count(options.tiles)),
       // scratch_.size() rather than resolving again: SSKEL_THREADS is
       // re-read per resolve and must bind exactly once per plane.
-      plane_(static_cast<unsigned>(scratch_.size()), &McTilePlane::work_fn,
-             this, to_tile_options(options)) {
+      placement_(resolve_placement(options,
+                                   static_cast<unsigned>(scratch_.size()))) {
   for (auto& slot : scratch_) slot = scenario.make_scratch();
+  threads_.reserve(scratch_.size());
+  for (unsigned tile = 0; tile < tiles(); ++tile) {
+    threads_.emplace_back([this, tile](const std::stop_token& stop) {
+      tile_main(tile, stop);
+    });
+  }
 }
 
-McTilePlane::~McTilePlane() = default;
+McTilePlane::~McTilePlane() {
+  for (std::jthread& thread : threads_) thread.request_stop();
+  threads_.clear();  // joins every tile
+}
 
-TileResult McTilePlane::work_fn(void* ctx, unsigned tile,
-                                const TileWork& work) {
-  auto* self = static_cast<McTilePlane*>(ctx);
-  const std::size_t slot =
-      static_cast<std::size_t>(work.id) % self->batch_.results->size();
-  // Exclusive write: the in-flight window bound means no other live
-  // trial maps to this slot. The result-ring publish (release) orders
-  // it before the dispatcher's drain (acquire) of the completion token
-  // below.
+void McTilePlane::tile_main(unsigned tile, const std::stop_token& stop) {
+  if (!placement_.empty()) pin_current_thread(placement_[tile], pin_failures_);
+  while (!stop.stop_requested()) {
+    std::uint64_t seq = claimed_.load(std::memory_order_relaxed);
+    // Acquire: a published seq's slot and its stream's state are
+    // visible before the claim below can hand them to this tile.
+    if (seq >= offered_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+      continue;
+    }
+    // Succeeds only while claimed_ still equals seq, and claimed_ never
+    // repeats a value, so a seq read before a stream ended cannot be
+    // claimed in the next one.
+    if (claimed_.compare_exchange_weak(seq, seq + 1,
+                                       std::memory_order_relaxed)) {
+      run_claimed(tile, seq);
+    }
+  }
+}
+
+void McTilePlane::run_claimed(unsigned tile, std::uint64_t seq) {
+  // Exclusive: the window bound means no other live trial maps to this
+  // slot, and the dispatcher reads it only after the release below.
+  Slot& slot = slots_[static_cast<std::size_t>(seq % slots_.size())];
   const auto start = std::chrono::steady_clock::now();
-  (*self->batch_.results)[slot] = self->scenario_->run_trial(
-      work.seed, *self->batch_.config, self->scratch_[tile].get());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  TileResult token;
-  token.id = work.id;
-  token.value =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
-  return token;
+  slot.trial =
+      scenario_->run_trial(slot.seed, stream_config_, scratch_[tile].get());
+  slot.elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  slot.done.store(seq + 1, std::memory_order_release);
 }
 
 void McTilePlane::stream_begin(const KSetRunConfig& config, std::size_t window,
                                std::uint64_t first_index) {
   SSKEL_REQUIRE(!streaming_);
   SSKEL_REQUIRE(window > 0);
-
+  // No tile touches the stream state now: every published seq has been
+  // collected, and the next claim waits for the next publish. A window
+  // of the same size is reused: its reports stay alive until their
+  // slots are overwritten, and its tags all lie below this stream's
+  // first seq + 1, so none of them reads as complete.
   stream_config_ = config;
-
-  results_.assign(window, ScenarioTrial{});
-  done_.assign(window, 0);
-  elapsed_ns_.assign(window, 0);
-  batch_.config = &stream_config_;
-  batch_.results = &results_;
-  next_offer_ = first_index;
-  next_collect_ = first_index;
-  tokens_.clear();
+  if (slots_.size() != window) slots_ = std::vector<Slot>(window);
+  stream_base_ = next_offer_;
+  first_index_ = first_index;
   streaming_ = true;
 }
 
 bool McTilePlane::stream_offer(std::uint64_t index, std::uint64_t seed) {
   SSKEL_REQUIRE(streaming_);
-  SSKEL_REQUIRE(index == next_offer_);
-  if (next_offer_ - next_collect_ >= results_.size()) return false;
-  TileWork work;
-  work.id = index;
-  work.seed = seed;
-  if (!plane_.try_submit(work)) return false;
+  SSKEL_REQUIRE(index == first_index_ + (next_offer_ - stream_base_));
+  if (next_offer_ - next_collect_ >= slots_.size()) {
+    ++refused_offers_;
+    return false;
+  }
+  slots_[static_cast<std::size_t>(next_offer_ % slots_.size())].seed = seed;
   ++next_offer_;
+  offered_.store(next_offer_, std::memory_order_release);
   return true;
 }
 
 std::size_t McTilePlane::stream_collect(const StreamSink& sink) {
   SSKEL_REQUIRE(streaming_);
-  plane_.drain(tokens_);
-  for (const TileResult& token : tokens_) {
-    const std::size_t slot =
-        static_cast<std::size_t>(token.id) % results_.size();
-    SSKEL_ASSERT(done_[slot] == 0);
-    done_[slot] = 1;
-    elapsed_ns_[slot] = token.value;
-  }
-  tokens_.clear();
   std::size_t delivered = 0;
-  while (next_collect_ < next_offer_ &&
-         done_[static_cast<std::size_t>(next_collect_) % results_.size()] !=
-             0) {
-    const std::size_t slot =
-        static_cast<std::size_t>(next_collect_) % results_.size();
-    if (sink) sink(next_collect_, results_[slot], elapsed_ns_[slot]);
-    done_[slot] = 0;
+  while (next_collect_ < next_offer_) {
+    const Slot& slot =
+        slots_[static_cast<std::size_t>(next_collect_ % slots_.size())];
+    if (slot.done.load(std::memory_order_acquire) != next_collect_ + 1) break;
+    if (sink) {
+      sink(first_index_ + (next_collect_ - stream_base_), slot.trial,
+           slot.elapsed_ns);
+    }
     ++next_collect_;
     ++delivered;
   }
@@ -170,9 +211,9 @@ void McTilePlane::export_service_fields(McSummary& summary) const {
   summary.live_proc_set_bytes = ProcSet::live_bytes();
   summary.arena_proc_set_bytes = ProcSet::arena_bytes();
   summary.arena_reuses = ProcSet::arena_reuses();
-  summary.tiles = static_cast<std::int64_t>(plane_.tiles());
-  summary.tile_placement = cpu_list_to_string(plane_.placement());
-  summary.failed_pins = static_cast<std::int64_t>(plane_.failed_pins());
+  summary.tiles = static_cast<std::int64_t>(tiles());
+  summary.tile_placement = cpu_list_to_string(placement_);
+  summary.failed_pins = static_cast<std::int64_t>(failed_pins());
 }
 
 McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
@@ -185,14 +226,14 @@ McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
   McSummary summary;
   summary.bytes_measured = config.measure_bytes;
 
-  // A batch is a stream whose window holds one ring's worth of trials
-  // per tile: enough to keep every intake busy, and the result slots
-  // (whose reports stay alive until the next stream) no longer grow
-  // with the batch. The fold happens on the dispatcher as completions
+  // A batch is a stream whose window holds kRunWindowPerTile trials
+  // per tile: enough to keep every tile busy, and the result slots
+  // (whose reports stay alive until the next stream) do not grow with
+  // the batch. The fold happens on the dispatcher as completions
   // arrive, in trial order.
   stream_begin(config, std::clamp<std::size_t>(
                            static_cast<std::size_t>(trials), 1,
-                           std::size_t{plane_.tiles()} * ring_depth_));
+                           std::size_t{tiles()} * kRunWindowPerTile));
   const StreamSink sink = [&](std::uint64_t t, const ScenarioTrial& trial,
                               std::int64_t /*elapsed_ns*/) {
     fold_scenario_trial(summary, trial, config);

@@ -1,14 +1,17 @@
-// Monte-Carlo trial scheduling on the tile plane (DESIGN.md §13).
+// Monte-Carlo trial scheduling on worker tiles (DESIGN.md §13).
 //
 // A Monte-Carlo batch is a seeded left fold: trial t runs with seed
 // mix_seed(master, t), and its result folds into McSummary in trial
 // order (fold_scenario_trial). McTilePlane is the one scheduler that
-// runs that fold, as a persistent *service* over the §12 tile/ring
-// transport:
+// runs that fold, as a persistent *service*:
 //
-//   * trials flow through the TilePlane's credit-gated submit/result
-//     FragRings as TileWork{trial, seed} and come back RingMux-merged,
-//     exactly like the multiplexed net runs;
+//   * the plane starts and joins its own tile threads. The dispatcher
+//     writes each offered trial's seed into a slot of the stream
+//     window and release-publishes an offered cursor; an idle tile
+//     claims the next offered trial with one compare-exchange on a
+//     claim cursor, runs it, and release-stores a completion tag in
+//     the slot. No trial waits behind another in a private queue, so
+//     a slow tile simply claims fewer trials;
 //   * each tile owns persistent worker state — its ProcSet word arena
 //     and a reusable engine/scenario scratch
 //     (ScenarioFactory::make_scratch) — so a trial resets hot
@@ -20,23 +23,23 @@
 //     topology when pinning is enabled (util/topology.hpp), and the
 //     effective placement + failed pin count surface in McSummary.
 //
-// Determinism: results land in a trial-indexed slot window (the result
-// ring carries completion tokens, not payloads — the ring's
-// release/acquire ordering makes the slot write visible to the
-// dispatcher), and the dispatcher folds the contiguous completed
-// prefix in trial order. McSummary's trial-derived fields are
-// therefore bit-identical across tile counts and to a serial fold of
-// the same trials (tests/oracles/serial_trials.hpp).
+// Determinism: results land in the trial's window slot, and the
+// dispatcher acquire-reads the completion tags in trial order and
+// folds the contiguous completed prefix. McSummary's trial-derived
+// fields are therefore bit-identical across tile counts and to a
+// serial fold of the same trials (tests/oracles/serial_trials.hpp).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stop_token>
+#include <thread>
 #include <vector>
 
 #include "mc/montecarlo.hpp"
 #include "mc/scenario.hpp"
-#include "net/tile.hpp"
 
 namespace sskel {
 
@@ -63,26 +66,28 @@ struct McPlaneOptions {
   /// concurrency; explicit values are still capped by SSKEL_THREADS
   /// (resolve_tile_count — the single concurrency knob).
   unsigned tiles = 0;
-  /// Intake/result ring depth (tiny values exercise backpressure).
-  /// run() keeps at most tiles x ring_depth trials in flight.
-  std::size_t ring_depth = 64;
-  /// Watermark-publication cadence (TilePlaneOptions::lazy).
-  std::int64_t lazy = 8;
-  /// Pin tiles physical-core-first from the probed topology (or
-  /// `cpu_placement` when set). Off by default: single-core CI hosts
-  /// gain nothing and lose scheduling freedom.
+  /// Pin each tile thread to a CPU (Linux only; a failed pin is
+  /// recorded, never fatal — CI runners often forbid affinity
+  /// changes). The CPU per tile comes from `cpu_placement` when set,
+  /// else from the probed host topology physical-core-first
+  /// (util/topology.hpp). Off by default: single-core CI hosts gain
+  /// nothing and lose scheduling freedom.
   bool pin_tiles = false;
-  /// Explicit CPU per tile (cycled); empty = derive from topology.
+  /// Explicit CPU per tile (cycled when shorter than the tile count);
+  /// empty = derive from the topology. Ignored unless pin_tiles.
   std::vector<int> cpu_placement;
 };
 
 /// A persistent Monte-Carlo scheduling service: construct once per
 /// scenario, call run() per batch. Tiles and their engine scratch
 /// survive between batches, so a trial resets engines instead of
-/// reconstructing them. Dispatcher methods (run and the counters)
-/// belong to one thread at a time.
+/// reconstructing them. Dispatcher methods (run, the stream face and
+/// the counters) belong to one thread at a time.
 class McTilePlane {
  public:
+  /// run() keeps at most tiles() x kRunWindowPerTile trials in flight.
+  static constexpr std::size_t kRunWindowPerTile = 64;
+
   explicit McTilePlane(const ScenarioFactory& scenario,
                        McPlaneOptions options = {});
   ~McTilePlane();
@@ -102,11 +107,11 @@ class McTilePlane {
 
   // -------------------------------------------------------------------
   // Streaming feed (DESIGN.md §15). run() is itself built on this: a
-  // batch is a stream whose window holds one ring's worth of trials
-  // per tile, so the result slots stay bounded however long the batch
+  // batch is a stream whose window holds kRunWindowPerTile trials per
+  // tile, so the result slots stay bounded however long the batch
   // runs. The campaign engine drives the stream directly so trials
-  // flow into the submit rings from a persistent cursor — the plane
-  // never tears down between batches, and the dispatcher folds the
+  // flow into the window from a persistent cursor — the plane never
+  // tears down between batches, and the dispatcher folds the
   // contiguous completed prefix in trial order, which is what makes
   // checkpoint/resume bit-exact (the folded prefix *is* the state).
   // -------------------------------------------------------------------
@@ -128,12 +133,12 @@ class McTilePlane {
 
   /// Offers trial `index` (must be the next sequential index) with its
   /// seed. Non-blocking: returns false — and consumes nothing — when
-  /// the in-flight window is full or no tile intake has credit; the
-  /// caller should collect and retry. Never spins.
+  /// the in-flight window is full; the caller should collect and
+  /// retry. Never spins.
   [[nodiscard]] bool stream_offer(std::uint64_t index, std::uint64_t seed);
 
-  /// Drains completed trials and invokes `sink` for each contiguous
-  /// next-in-order trial. Returns how many trials reached the sink.
+  /// Invokes `sink` for each contiguous next-in-order completed trial.
+  /// Returns how many trials reached the sink.
   std::size_t stream_collect(const StreamSink& sink);
 
   /// Blocks (yielding) until every in-flight trial has reached `sink`.
@@ -159,56 +164,82 @@ class McTilePlane {
   /// streaming callers can finish a summary the same way.
   void export_service_fields(McSummary& summary) const;
 
-  [[nodiscard]] unsigned tiles() const { return plane_.tiles(); }
-  [[nodiscard]] unsigned failed_pins() const { return plane_.failed_pins(); }
+  [[nodiscard]] unsigned tiles() const {
+    return static_cast<unsigned>(scratch_.size());
+  }
+  /// Tiles whose CPU pin attempt failed (0 when pinning is off).
+  [[nodiscard]] unsigned failed_pins() const {
+    return pin_failures_.load(std::memory_order_relaxed);
+  }
+  /// Planned CPU id per tile when pinning is on (empty otherwise).
+  /// Entries are the *intended* placement; failed_pins() says how many
+  /// of them the OS refused.
   [[nodiscard]] const std::vector<int>& placement() const {
-    return plane_.placement();
+    return placement_;
   }
-  [[nodiscard]] std::int64_t submit_stalls() const {
-    return plane_.submit_stalls();
-  }
-  [[nodiscard]] std::int64_t result_stalls() const {
-    return plane_.result_stalls();
-  }
-  /// Trials executed by this service since construction.
+  /// Offers refused because the stream window was full.
+  [[nodiscard]] std::int64_t submit_stalls() const { return refused_offers_; }
+  /// Always 0: a tile stores its result in the trial's own window slot
+  /// and never waits to hand it back. Kept because perfbench reads it
+  /// into mc.result_stalls.
+  [[nodiscard]] static constexpr std::int64_t result_stalls() { return 0; }
+  /// Trials the tiles have claimed since construction. A claimed trial
+  /// always runs to completion, so once no stream has trials in flight
+  /// this is the number of trials executed.
   [[nodiscard]] std::int64_t trials_executed() const {
-    return plane_.frags_processed();
+    return static_cast<std::int64_t>(
+        claimed_.load(std::memory_order_relaxed));
   }
 
  private:
-  static TileResult work_fn(void* ctx, unsigned tile, const TileWork& work);
-
-  /// One stream's shared inputs. Mutated only between streams: every
-  /// result of the previous stream is drained (acquire) before the
-  /// stream closes, and the new values publish to tiles via the intake
-  /// ring's release, so tiles never observe a torn stream.
-  struct Batch {
-    const KSetRunConfig* config = nullptr;
-    std::vector<ScenarioTrial>* results = nullptr;
+  /// One window slot. The dispatcher writes `seed` before publishing
+  /// the trial through offered_; the claiming tile writes `trial` and
+  /// `elapsed_ns` and then release-stores seq + 1 into `done`, which
+  /// the dispatcher acquire-reads before touching them. Cache-line
+  /// aligned so neighbouring slots' tiles do not share a line.
+  struct alignas(64) Slot {
+    std::uint64_t seed = 0;
+    std::int64_t elapsed_ns = 0;
+    ScenarioTrial trial;
+    std::atomic<std::uint64_t> done{0};
   };
 
+  void tile_main(unsigned tile, const std::stop_token& stop);
+  void run_claimed(unsigned tile, std::uint64_t seq);
+
   const ScenarioFactory* scenario_;
-  /// McPlaneOptions::ring_depth; with the tile count it sizes run()'s
-  /// stream window.
-  std::size_t ring_depth_;
   /// Per-tile engine/scenario scratch (index = tile).
   std::vector<std::unique_ptr<ScenarioFactory::Scratch>> scratch_;
-  /// Circular in-flight result window: trial i lands in slot
-  /// i % window (unique while in flight — the window bound guarantees
-  /// no two live trials share a slot).
-  std::vector<ScenarioTrial> results_;
-  Batch batch_;
-  std::vector<TileResult> tokens_;  // drained completion tokens
-  /// Streaming state: config copy bound for the stream's lifetime,
-  /// per-slot completion flags + tile-side wall times, and the
-  /// [next_collect_, next_offer_) in-flight cursor pair.
+  std::vector<int> placement_;  // CPU per tile; empty when not pinning
+  std::atomic<unsigned> pin_failures_{0};
+
+  /// The open stream, written only by stream_begin. Tiles read it only
+  /// for a trial they claimed, and a claim succeeds only on a sequence
+  /// number the dispatcher published after stream_begin returned.
   KSetRunConfig stream_config_;
-  std::vector<std::uint8_t> done_;
-  std::vector<std::int64_t> elapsed_ns_;
+  /// The window: trial seq lives in slot seq % window while in flight
+  /// (unique — the window bound keeps two live trials apart), and its
+  /// report stays there until the slot is reused.
+  std::vector<Slot> slots_;
+  std::uint64_t stream_base_ = 0;  // seq of the stream's first trial
+  std::uint64_t first_index_ = 0;  // trial index of stream_base_
+
+  /// Dispatcher-side cursors over the plane-wide trial sequence, which
+  /// never resets between streams: [next_collect_, next_offer_) is in
+  /// flight.
   std::uint64_t next_offer_ = 0;
   std::uint64_t next_collect_ = 0;
+  std::int64_t refused_offers_ = 0;
   bool streaming_ = false;
-  TilePlane plane_;  // last: joins tiles before the rest dies
+
+  /// Published sequence: every seq below it has its slot written.
+  alignas(64) std::atomic<std::uint64_t> offered_{0};
+  /// Claimed sequence: every seq below it belongs to a tile. Never
+  /// above offered_, and like it never reset, so a compare-exchange a
+  /// tile prepared in an earlier stream cannot succeed in a later one.
+  alignas(64) std::atomic<std::uint64_t> claimed_{0};
+
+  std::vector<std::jthread> threads_;  // last member: joins first
 };
 
 }  // namespace sskel

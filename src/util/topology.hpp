@@ -1,6 +1,6 @@
 // Physical CPU topology: sysfs probe + physical-core-first placement.
 //
-// The tile plane pins worker tiles to CPUs (net/tile.hpp). Naive
+// McTilePlane pins its worker tiles to CPUs (mc/mc_plane.hpp). Naive
 // pinning — tile i to CPU i mod hardware_concurrency — lands two busy
 // tiles on the two hyperthreads of one physical core while whole cores
 // idle, because Linux numbers SMT siblings after all primaries on some

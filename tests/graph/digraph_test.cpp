@@ -270,16 +270,5 @@ TEST(DigraphTest, ResetRestoresEmptyEdgesFullNodes) {
   EXPECT_EQ(g, Digraph(4));
 }
 
-TEST(DigraphTest, AddInEdgesBulkMatchesPerEdge) {
-  const ProcId n = 70;  // crosses a word boundary
-  ProcSet senders(n);
-  for (ProcId q = 0; q < n; q += 3) senders.insert(q);
-  Digraph bulk(n);
-  bulk.add_in_edges(/*p=*/65, senders);
-  Digraph scalar(n);
-  for (ProcId q : senders) scalar.add_edge(q, 65);
-  EXPECT_EQ(bulk, scalar);
-}
-
 }  // namespace
 }  // namespace sskel

@@ -1,19 +1,25 @@
-// The scheduler-equivalence tripwire for Monte-Carlo on the tile
-// plane (DESIGN.md §13), extending the §12 plane-equivalence pattern:
-// the same (scenario, master seed, trials, config) must produce
+// The scheduler-equivalence tripwire for Monte-Carlo on worker tiles
+// (DESIGN.md §13), extending the §12 plane-equivalence pattern: the
+// same (scenario, master seed, trials, config) must produce
 // trial-derived McSummary fields bit-identical to the serial fold
-// (tests/oracles/serial_trials.hpp) at tile counts {1, 2, 4}, under a
-// tiny-ring backpressure configuration, and on a net-backed scenario.
-// Only service-level fields — intern/arena/peak counters and tile
+// (tests/oracles/serial_trials.hpp) at tile counts {1, 2, 4}, through
+// a one-slot stream window, and on a net-backed scenario. Only
+// service-level fields — intern/arena/peak counters and tile
 // provenance — may differ. Also covers the engine-scratch reuse
 // contract (run_trial with scratch == without), run()'s bounded result
-// window, and the SSKEL_THREADS tile-count cap.
+// window, idle tiles claiming trials past a blocked one, tile
+// placement, and the SSKEL_THREADS tile-count cap.
 #include "mc/mc_plane.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -109,7 +115,75 @@ KSetRunConfig net_config() {
   return config;
 }
 
+/// Wraps a scenario so that the trial with `blocker_seed` waits, for
+/// at most 10 s, until `others` other trials have run, which tiles
+/// other than its own must do. Test-only: the counters are the kind of
+/// shared state a real scenario must not keep, and they only observe
+/// timing, never a trial's result.
+class WaitForOthersScenario final : public ScenarioFactory {
+ public:
+  WaitForOthersScenario(const ScenarioFactory& inner,
+                        std::uint64_t blocker_seed, int others)
+      : inner_(inner), blocker_seed_(blocker_seed), others_(others) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] ProcId n() const override { return inner_.n(); }
+  void append_fingerprint(std::vector<std::uint8_t>& out) const override {
+    inner_.append_fingerprint(out);
+  }
+  [[nodiscard]] ScenarioTrial run_trial(
+      std::uint64_t seed, const KSetRunConfig& config) const override {
+    return run_trial(seed, config, nullptr);
+  }
+  [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override {
+    return inner_.make_scratch();
+  }
+  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
+                                        const KSetRunConfig& config,
+                                        Scratch* scratch) const override {
+    if (seed == blocker_seed_) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (ran_.load() < others_) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+          timed_out_.store(true);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ScenarioTrial trial = inner_.run_trial(seed, config, scratch);
+    if (seed != blocker_seed_) ran_.fetch_add(1);
+    return trial;
+  }
+
+  [[nodiscard]] bool timed_out() const { return timed_out_.load(); }
+
+ private:
+  const ScenarioFactory& inner_;
+  std::uint64_t blocker_seed_;
+  int others_;
+  mutable std::atomic<int> ran_{0};
+  mutable std::atomic<bool> timed_out_{false};
+};
+
 constexpr std::uint64_t kSeed = 0xC0FFEE5EED;
+/// Master seed of the warm-up batch in run_one_trial_per_tile.
+constexpr std::uint64_t kWarmSeed = kSeed - 1;
+
+/// Idle tiles claim trials, so a tile whose thread starts late may run
+/// none of a batch, and its first trial then grows its scratch. Tests
+/// that compare live bytes across batches first run this two-trial
+/// batch on a two-tile plane built on `scenario`, whose blocker is
+/// trial 0 (seed mix_seed(kWarmSeed, 0)) and which waits for one other
+/// trial: trial 1 then runs on the other tile, so each tile runs one.
+void run_one_trial_per_tile(McTilePlane& plane,
+                            const WaitForOthersScenario& scenario,
+                            const KSetRunConfig& config) {
+  ASSERT_EQ(plane.tiles(), 2u);
+  (void)plane.run(kWarmSeed, 2, config);
+  ASSERT_FALSE(scenario.timed_out());
+}
 
 // Named for the fork-join pool it once compared against; the reference
 // is now the serial fold.
@@ -146,22 +220,40 @@ TEST(McTilePlane, BitIdenticalAcrossTileCounts) {
   }
 }
 
-TEST(McTilePlane, TinyRingBackpressureBitIdentical) {
-  // Depth-2 rings against 48 trials on 3 tiles: the dispatcher and
-  // tiles must ride the credit gates without reordering or dropping a
-  // trial. Results stay equal to the serial fold.
+TEST(McTilePlane, WindowOfOneBitIdentical) {
+  // A one-slot stream window against 48 trials on 3 tiles: each offer
+  // is refused until the previous trial is collected, so the trials
+  // take turns in one slot on whichever tile claims them first.
+  // Results stay equal to the serial fold, and every refusal counts as
+  // a submit stall.
   const PartitionScenario scenario = make_partition_scenario(8);
   const KSetRunConfig config = base_config();
   const int trials = 48;
 
   McPlaneOptions options;
   options.tiles = 3;
-  options.ring_depth = 2;
-  options.lazy = 1;
   McTilePlane plane(scenario, options);
-  const McSummary tiled = plane.run(kSeed, trials, config);
+  McSummary streamed;
+  streamed.scenario = scenario.name();
+  streamed.bytes_measured = config.measure_bytes;
+  const McTilePlane::StreamSink sink =
+      [&](std::uint64_t, const ScenarioTrial& trial, std::int64_t) {
+        fold_scenario_trial(streamed, trial, config);
+      };
+  plane.stream_begin(config, /*window=*/1);
+  for (std::uint64_t t = 0; t < static_cast<std::uint64_t>(trials); ++t) {
+    while (!plane.stream_offer(t, mix_seed(kSeed, t))) {
+      (void)plane.stream_collect(sink);
+    }
+  }
+  plane.stream_flush(sink);
+  plane.stream_end();
+
   expect_summaries_equal(
-      oracles::serial_trials(scenario, kSeed, trials, config), tiled);
+      oracles::serial_trials(scenario, kSeed, trials, config), streamed);
+  // Offering trial t + 1 right after trial t is refused at least once.
+  EXPECT_GE(plane.submit_stalls(), trials - 1);
+  EXPECT_EQ(McTilePlane::result_stalls(), 0);
 }
 
 TEST(McTilePlane, NetTrialsBitIdenticalAcrossTileCounts) {
@@ -219,10 +311,10 @@ TEST(McTilePlane, PerTrialCallbackRunsInTrialOrder) {
 }
 
 TEST(McTilePlane, RunWindowKeepsLiveReportsBounded) {
-  // run() streams through tiles x ring_depth result slots, and a slot's
-  // report stays alive until the next batch starts. So the ProcSet
-  // payload a batch leaves behind must not grow with the batch. The
-  // scenario is a noise-free partition stable from round 1: every
+  // run() streams through tiles x kRunWindowPerTile result slots, and a
+  // slot's report stays alive until the next batch starts. So the
+  // ProcSet payload a batch leaves behind must not grow with the batch.
+  // The scenario is a noise-free partition stable from round 1: every
   // trial has the same structures and the same report shape, and the
   // warm-up batch settles the tile scratch, so any growth between the
   // two measured batches is retained reports.
@@ -231,13 +323,15 @@ TEST(McTilePlane, RunWindowKeepsLiveReportsBounded) {
   params.cross_noise_probability = 0.0;
   params.stabilization_round = 1;
   const PartitionScenario scenario(params);
+  const WaitForOthersScenario warm_scenario(scenario, mix_seed(kWarmSeed, 0),
+                                            /*others=*/1);
   const KSetRunConfig config = base_config();
   McPlaneOptions options;
   options.tiles = 2;
-  options.ring_depth = 4;
-  const int window = 8;  // tiles x ring_depth
-  McTilePlane plane(scenario, options);
+  const int window = 2 * static_cast<int>(McTilePlane::kRunWindowPerTile);
+  McTilePlane plane(warm_scenario, options);
 
+  run_one_trial_per_tile(plane, warm_scenario, config);
   (void)plane.run(kSeed, 20 * window, config);  // warm-up
   (void)plane.run(kSeed, window, config);
   const std::int64_t live_after_one_window = ProcSet::live_bytes();
@@ -259,9 +353,12 @@ TEST(McTilePlane, LiveBytesStayFlatAcrossBatchesOfNewStructures) {
   const RandomPsrcsScenario scenario(params);
   KSetRunConfig config;
   config.k = 3;
+  const WaitForOthersScenario warm_scenario(scenario, mix_seed(kWarmSeed, 0),
+                                            /*others=*/1);
   McPlaneOptions options;
   options.tiles = 2;
-  McTilePlane plane(scenario, options);
+  McTilePlane plane(warm_scenario, options);
+  run_one_trial_per_tile(plane, warm_scenario, config);
 
   std::vector<std::int64_t> live;
   for (std::uint64_t batch = 0; batch < 4; ++batch) {
@@ -281,7 +378,7 @@ TEST(McTilePlane, LiveBytesStayFlatAcrossBatchesOfNewStructures) {
   for (std::size_t batch = 1; batch < live.size(); ++batch) {
     EXPECT_LE(live[batch], live[0] + live[0] / 8) << "batch " << batch;
   }
-  EXPECT_EQ(plane.trials_executed(), 128);
+  EXPECT_EQ(plane.trials_executed(), 2 + 128);
 }
 
 TEST(McTilePlane, ScratchReuseMatchesScratchFreeTrials) {
@@ -429,6 +526,84 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
                         config);
   }
   expect_summaries_equal(expected, tail);
+}
+
+TEST(McTilePlaneStream, IdleTilesClaimTrialsPastABlockedOne) {
+  // Trial 0 waits until trials 1..W-1 of a W = 6 window have run. Idle
+  // tiles must take those trials while trial 0's tile is busy: a plane
+  // that deals trials round-robin into per-tile queues puts trial 3
+  // behind trial 0 on 3 tiles, and the wait runs out. The sink still
+  // sees every trial in index order, folded as the serial fold does.
+  const std::uint64_t window = 6;
+  const PartitionScenario inner = make_partition_scenario(8);
+  const WaitForOthersScenario scenario(inner, mix_seed(kSeed, 0),
+                                       static_cast<int>(window) - 1);
+  const KSetRunConfig config = base_config();
+  McPlaneOptions options;
+  options.tiles = 3;
+  McTilePlane plane(scenario, options);
+  ASSERT_EQ(plane.tiles(), 3u);
+
+  McSummary streamed;
+  streamed.scenario = scenario.name();
+  streamed.bytes_measured = config.measure_bytes;
+  std::vector<std::uint64_t> order;
+  const McTilePlane::StreamSink sink =
+      [&](std::uint64_t index, const ScenarioTrial& trial, std::int64_t) {
+        order.push_back(index);
+        fold_scenario_trial(streamed, trial, config);
+      };
+  plane.stream_begin(config, window);
+  for (std::uint64_t t = 0; t < window; ++t) {
+    ASSERT_TRUE(plane.stream_offer(t, mix_seed(kSeed, t)));
+  }
+  plane.stream_flush(sink);
+  plane.stream_end();
+
+  EXPECT_FALSE(scenario.timed_out())
+      << "trial 0 waited 10 s for trials queued behind it";
+  ASSERT_EQ(order.size(), window);
+  for (std::uint64_t i = 0; i < window; ++i) EXPECT_EQ(order[i], i);
+  expect_summaries_equal(
+      oracles::serial_trials(inner, kSeed, static_cast<int>(window), config),
+      streamed);
+}
+
+TEST(McTilePlane, PlacementEmptyWhenNotPinning) {
+  const PartitionScenario scenario = make_partition_scenario(8);
+  McPlaneOptions options;
+  options.tiles = 2;
+  McTilePlane plane(scenario, options);
+  EXPECT_TRUE(plane.placement().empty());
+  EXPECT_EQ(plane.failed_pins(), 0u);
+}
+
+TEST(McTilePlane, ExplicitCpuPlacementIsCycledAcrossTiles) {
+  const PartitionScenario scenario = make_partition_scenario(8);
+  McPlaneOptions options;
+  options.tiles = 3;
+  options.pin_tiles = true;
+  options.cpu_placement = {0};  // CPU 0 always exists
+  McTilePlane plane(scenario, options);
+  ASSERT_EQ(plane.placement().size(), 3u);
+  for (int cpu : plane.placement()) EXPECT_EQ(cpu, 0);
+  // Pinning to CPU 0 is legal on any host that lets us pin at all, so
+  // either every pin landed or the runner forbids affinity entirely.
+  const McSummary summary = plane.run(kSeed, 2, base_config());
+  EXPECT_EQ(summary.runs, 2);
+  EXPECT_EQ(summary.tile_placement, "0,0,0");
+  EXPECT_LE(plane.failed_pins(), 3u);
+}
+
+TEST(McTilePlane, TopologyDerivedPlacementCoversEveryTile) {
+  const PartitionScenario scenario = make_partition_scenario(8);
+  McPlaneOptions options;
+  options.tiles = 4;
+  options.pin_tiles = true;  // placement from probe_cpu_topology()
+  McTilePlane plane(scenario, options);
+  ASSERT_EQ(plane.placement().size(), 4u);
+  for (int cpu : plane.placement()) EXPECT_GE(cpu, 0);
+  EXPECT_EQ(plane.run(kSeed, 16, base_config()).runs, 16);
 }
 
 // The SSKEL_THREADS parse/clamp: the requested == 0 path of

@@ -263,7 +263,7 @@ class EventQueueDriver final : public RoundEngine<Msg> {
   /// below D.
   void derived_row(ProcId p, Round r, const ProcSet& senders) {
     PendingRound& rec = pending_for(r);
-    rec.graph.add_in_edges(p, senders);
+    for (ProcId q : senders) rec.graph.add_edge(q, p);
     if (++rec.rows == n()) {
       RoundStats stats;
       stats.round = r;
